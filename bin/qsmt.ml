@@ -51,11 +51,26 @@ open Cmdliner
 let seed_arg =
   Arg.(value & opt int 0 & info [ "seed" ] ~docv:"N" ~doc:"PRNG seed (results are deterministic per seed).")
 
+(* Counts that must be at least one: a zero or negative value is a usage
+   error at parse time (exit 124), not an exception deep in a sampler. *)
+let positive_int what =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | Some _ -> Error (`Msg (what ^ " must be >= 1"))
+    | None -> Error (`Msg (s ^ " is not an integer"))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let reads_arg =
-  Arg.(value & opt int 32 & info [ "reads" ] ~docv:"N" ~doc:"Annealing reads (independent runs).")
+  Arg.(
+    value & opt (positive_int "reads") 32
+    & info [ "reads" ] ~docv:"N" ~doc:"Annealing reads (independent runs).")
 
 let sweeps_arg =
-  Arg.(value & opt int 1000 & info [ "sweeps" ] ~docv:"N" ~doc:"Metropolis sweeps per read.")
+  Arg.(
+    value & opt (positive_int "sweeps") 1000
+    & info [ "sweeps" ] ~docv:"N" ~doc:"Metropolis sweeps per read.")
 
 let domains_arg =
   Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N" ~doc:"Parallel domains for reads.")
@@ -104,17 +119,8 @@ let decompose_arg =
            samples). Not available with $(b,--sampler classical).")
 
 let subsize_arg =
-  let positive_int =
-    let parse s =
-      match int_of_string_opt s with
-      | Some n when n >= 1 -> Ok n
-      | Some _ -> Error (`Msg "subsize must be >= 1")
-      | None -> Error (`Msg (s ^ " is not an integer"))
-    in
-    Arg.conv (parse, Format.pp_print_int)
-  in
   Arg.(
-    value & opt positive_int 48
+    value & opt (positive_int "subsize") 48
     & info [ "subsize" ] ~docv:"N"
         ~doc:
           "Largest decomposition shard, in variables (with $(b,--decompose); default 48). Also \

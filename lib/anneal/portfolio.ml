@@ -2,6 +2,7 @@ module Bitvec = Qsmt_util.Bitvec
 module Parallel = Qsmt_util.Parallel
 module Telemetry = Qsmt_util.Telemetry
 module Qubo = Qsmt_qubo.Qubo
+module Mclock = Qsmt_util.Mclock
 
 type member =
   | M_sa of Sa.params
@@ -102,7 +103,7 @@ let run ?(params = default) ?init ?verify ?(telemetry = Telemetry.null) q =
   let jobs =
     if params.jobs > 0 then min params.jobs n else min (Parallel.recommended_domains ()) n
   in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Mclock.now () in
   (* Set once a verified sample is found (or, defensively, never): every
      member's stop closure reads it, so one member's win cancels the rest
      at their next poll point. *)
@@ -117,7 +118,7 @@ let run ?(params = default) ?init ?verify ?(telemetry = Telemetry.null) q =
         Telemetry.emit telemetry "portfolio.winner"
           [
             ("member", Telemetry.Str name);
-            ("elapsed_s", Telemetry.Float (Unix.gettimeofday () -. t0));
+            ("elapsed_s", Telemetry.Float (Mclock.now () -. t0));
           ]
     end
   in
@@ -128,13 +129,13 @@ let run ?(params = default) ?init ?verify ?(telemetry = Telemetry.null) q =
     if tracked then
       Telemetry.emit telemetry "portfolio.member.start"
         [ ("member", Telemetry.Str name); ("index", Telemetry.Int k) ];
-    let started = Unix.gettimeofday () in
+    let started = Mclock.now () in
     let deadline =
       match params.budget with Some b -> Some (started +. b) | None -> None
     in
     let stop () =
       Atomic.get stop_all
-      || match deadline with Some d -> Unix.gettimeofday () > d | None -> false
+      || match deadline with Some d -> Mclock.now () > d | None -> false
     in
     let on_read bits =
       match verify with
@@ -169,7 +170,7 @@ let run ?(params = default) ?init ?verify ?(telemetry = Telemetry.null) q =
         | exception e -> (Sampleset.empty, None, Some (Printexc.to_string e))
     in
     if failed <> None then Telemetry.count telemetry "portfolio.member_failed" 1;
-    let finished = Unix.gettimeofday () in
+    let finished = Mclock.now () in
     let cancelled =
       (Atomic.get stop_all || match deadline with Some d -> finished > d | None -> false)
       && failed = None
@@ -226,5 +227,5 @@ let run ?(params = default) ?init ?verify ?(telemetry = Telemetry.null) q =
     merged;
     winner = Atomic.get winner;
     reports;
-    wall_time = Unix.gettimeofday () -. t0;
+    wall_time = Mclock.now () -. t0;
   }

@@ -83,7 +83,7 @@ let sample ?(params = default) ?init ?stop ?on_read ?(telemetry = Telemetry.null
       | Some t ->
         if t < 0 then invalid_arg "Tabu.sample: negative tenure";
         t
-      | None -> min ((n / 4) + 1) 20
+      | None -> min ((n / 2) + 1) 20
     in
     let ising = Ising.of_qubo q in
     let stopped () = match stop with Some f -> f () | None -> false in

@@ -11,7 +11,9 @@ type params = {
   iterations : int;  (** moves per search (default 500) *)
   tenure : int option;
       (** sweeps a flipped variable stays tabu; [None] (default) picks
-          [min (n/4 + 1) 20] for an [n]-variable problem *)
+          [min (n/2 + 1) 20] for an [n]-variable problem — a shorter
+          tenure lets the lowest-index tie-break cycle on zero-delta
+          plateaus of small problems *)
   seed : int;
   domains : int;  (** parallel domains (default 1) *)
 }

@@ -56,15 +56,21 @@ let to_qubo ?params ?(telemetry = Telemetry.null) c =
   end;
   q
 
-let decode c bits =
+(* Partially applied, [decode c] validates [c] once (through
+   [Constr.num_vars]) and returns a decoder a scan can call per entry. *)
+let decode c =
   let expected = Constr.num_vars c in
-  if Bitvec.length bits <> expected then
-    invalid_arg
-      (Printf.sprintf "Compile.decode: sample has %d bits, constraint uses %d" (Bitvec.length bits)
-         expected);
-  match c with
-  | Constr.Includes _ -> Constr.Pos (Op_includes.decode bits)
-  | Constr.Equals _ | Constr.Concat _ | Constr.Contains _ | Constr.Index_of _
-  | Constr.Has_length _ | Constr.Replace_all _ | Constr.Replace_first _ | Constr.Reverse _
-  | Constr.Palindrome _ | Constr.Regex _ ->
-    Constr.Str (Ascii7.decode bits)
+  let of_bits =
+    match c with
+    | Constr.Includes _ -> fun bits -> Constr.Pos (Op_includes.decode bits)
+    | Constr.Equals _ | Constr.Concat _ | Constr.Contains _ | Constr.Index_of _
+    | Constr.Has_length _ | Constr.Replace_all _ | Constr.Replace_first _ | Constr.Reverse _
+    | Constr.Palindrome _ | Constr.Regex _ ->
+      fun bits -> Constr.Str (Ascii7.decode bits)
+  in
+  fun bits ->
+    if Bitvec.length bits <> expected then
+      invalid_arg
+        (Printf.sprintf "Compile.decode: sample has %d bits, constraint uses %d"
+           (Bitvec.length bits) expected);
+    of_bits bits

@@ -22,6 +22,7 @@ val to_qubo :
 val decode : Constr.t -> Qsmt_util.Bitvec.t -> Constr.value
 (** String constraints decode all [7n] bits through the ASCII codec
     (unconstrained bits fall where the sampler left them); {!Constr.Includes}
-    decodes the one-hot position.
+    decodes the one-hot position. [decode c] validates [c] once, so a
+    partially applied decoder is cheap to call per sample.
     @raise Invalid_argument if the sample length does not match
     [Constr.num_vars]. *)

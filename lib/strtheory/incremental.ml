@@ -6,8 +6,6 @@ module Telemetry = Qsmt_util.Telemetry
 module Sampleset = Qsmt_anneal.Sampleset
 module Sampler = Qsmt_anneal.Sampler
 
-let ( let* ) = Result.bind
-
 type t = {
   params : Params.t option;
   sampler : Sampler.t;
@@ -52,23 +50,6 @@ let reset t =
   t.merged <- None;
   t.warm <- None;
   t.last_sat <- None
-
-(* ------------------------------------------------------------------ *)
-(* Pre-encode abstract interpretation. Re-run on every query — push/pop
-   deltas change the conjunct list, and the analysis is far cheaper than
-   even a cache hit on the encode path.                                *)
-
-let analyze t cs =
-  match t.absint with
-  | `Off -> None
-  | `On -> (
-    match Absint.analyze cs with
-    | Ok a ->
-      Absint.emit t.telemetry a;
-      Some a
-    | Error _ -> None)
-
-let forced_of = function Some a -> Absint.forced_bits a | None -> []
 
 (* ------------------------------------------------------------------ *)
 (* Encoding: per-conjunct cache, delta-patched merge                   *)
@@ -158,206 +139,71 @@ let obtain t cs ~num_vars =
   qubo
 
 (* ------------------------------------------------------------------ *)
-(* Sampling with warm start + cold retry                               *)
-
-let warm_init t ~num_vars =
-  match t.warm with
-  | Some (n, bits) when n = num_vars -> Some (Bitvec.copy bits)
-  | _ -> None
+(* Model reuse, warm start + cold retry: the search policy both query
+   kinds hand to the shared solve chain                               *)
 
 let note_warm t samples =
   match Sampleset.best_opt samples with
   | Some e -> t.warm <- Some (Bitvec.length e.Sampleset.bits, Bitvec.copy e.Sampleset.bits)
   | None -> ()
 
-(* One sampler invocation; when [init] is present the run is a warm
-   re-solve: seeded from the previous best assignment and allowed to
-   early-exit on the first verified read. *)
-let sample t ?init ~verify qubo =
-  (match init with Some _ -> Telemetry.count t.telemetry "incr.warm_start" 1 | None -> ());
-  let early_exit = init <> None in
-  Sampler.run_detailed ~verify ?init ~early_exit ~telemetry:t.telemetry t.sampler qubo
-
-(* [sample] with the statically-forced codec bits clamped: the anneal
-   runs on the residual, warm-start assignments (always stored full
-   size) are projected onto it, and the returned set is lifted back to
-   full assignments — so warm/cold bookkeeping upstream never sees
-   residual coordinates. With no forced bits this is exactly [sample]. *)
-let sample_shrunk t ?init ~verify ~forced qubo =
-  match forced with
-  | [] -> sample t ?init ~verify qubo
-  | forced ->
-    Telemetry.count t.telemetry "absint.shrunk" 1;
-    let red = Qsmt_qubo.Preprocess.clamp qubo forced in
-    if Qsmt_qubo.Preprocess.num_free red = 0 then
-      (Sampleset.of_bits qubo [ Qsmt_qubo.Preprocess.expand red (Bitvec.create 0) ], None)
-    else begin
-      let free = Qsmt_qubo.Preprocess.free_indices red in
-      let init =
-        Option.map
-          (fun bits -> Bitvec.init (Array.length free) (fun r -> Bitvec.get bits free.(r)))
-          init
-      in
-      let verify_r bits = verify (Qsmt_qubo.Preprocess.expand red bits) in
-      let samples_r, hardware =
-        sample t ?init ~verify:verify_r (Qsmt_qubo.Preprocess.residual red)
-      in
-      (Solver.lift_samples ~qubo red samples_r, hardware)
-    end
-
-(* ------------------------------------------------------------------ *)
-(* Single-constraint queries (Generate / Locate)                       *)
-
-let pick_value ~verify constr samples =
-  let rec scan best = function
-    | [] -> begin
-      match best with
-      | Some (value, energy) -> (value, false, energy)
-      | None -> invalid_arg "Incremental: sampler returned an empty sample set"
-    end
-    | e :: rest ->
-      let value = Compile.decode constr e.Sampleset.bits in
-      if verify value then (value, true, e.Sampleset.energy)
-      else
-        let best =
-          match best with Some _ -> best | None -> Some (value, e.Sampleset.energy)
-        in
-        scan best rest
-  in
-  scan None (Sampleset.entries samples)
-
 let note_sat t value satisfied =
   match (satisfied, value) with
   | true, Constr.Str s -> t.last_sat <- Some s
   | _ -> ()
 
-(* The previous satisfying string, when it still satisfies [constr] and
-   spans exactly its variables, short-circuits sampling entirely. *)
-let reuse_model t constr qubo =
-  match t.last_sat with
-  | Some s
-    when Qubo.num_vars qubo = 7 * String.length s && Constr.verify constr (Constr.Str s) ->
-    Telemetry.count t.telemetry "incr.model_reuse" 1;
-    let bits = Ascii7.encode s in
-    Some (Sampleset.of_bits qubo [ bits ], Constr.Str s)
-  | _ -> None
-
-let static_generate t constr analysis =
-  let value, satisfied =
-    match analysis.Absint.verdict with
-    | Absint.V_sat value -> (value, true)
-    | _ -> (
-      ((match constr with Constr.Includes _ -> Constr.Pos None | _ -> Constr.Str ""), false))
+(* The previous satisfying string, when it spans exactly the query's
+   variables and still verifies (the pop case — constraints only got
+   weaker), short-circuits sampling entirely. Otherwise the anneal is
+   seeded from the previous best assignment of the same size and may
+   early-exit on the first verified read; a failed warm run retries the
+   exact cold configuration, so an incremental verdict is never worse
+   than a from-scratch one. *)
+let search t ~qubo ~model ~anneal =
+  let num_vars = Qubo.num_vars qubo in
+  let reused =
+    match t.last_sat with
+    | Some s when 7 * String.length s = num_vars ->
+      let o = model (Ascii7.encode s) in
+      if o.Solver.satisfied then Some o else None
+    | _ -> None
   in
-  note_sat t value satisfied;
-  {
-    Solver.constr;
-    qubo = Qubo.freeze ~num_vars:(Constr.num_vars constr) (Qubo.builder ());
-    samples = Sampleset.empty;
-    value;
-    satisfied;
-    energy = 0.;
-    hardware = None;
-    decided = Some analysis;
-  }
+  let outcome =
+    match (reused, t.warm) with
+    | Some o, _ ->
+      Telemetry.count t.telemetry "incr.model_reuse" 1;
+      o
+    | None, Some (n, bits) when n = num_vars ->
+      Telemetry.count t.telemetry "incr.warm_start" 1;
+      let o = anneal (Some (Bitvec.copy bits)) in
+      if o.Solver.satisfied then o
+      else begin
+        Telemetry.count t.telemetry "incr.cold_retry" 1;
+        anneal None
+      end
+    | None, _ -> anneal None
+  in
+  note_warm t outcome.Solver.samples;
+  outcome
 
 let solve_generate t constr =
-  let analysis = analyze t [ constr ] in
-  match analysis with
-  | Some ({ Absint.verdict = Absint.V_sat _ | Absint.V_unsat _; _ } as a) ->
-    (* Decided before any encoding exists: the encode cache, domain
-       pool, and warm state are untouched. *)
-    static_generate t constr a
-  | None | Some { Absint.verdict = Absint.V_undecided; _ } -> (
-    let qubo = encode_cached t constr in
-    match reuse_model t constr qubo with
-    | Some (samples, value) ->
-      let energy = (Sampleset.best samples).Sampleset.energy in
-      { Solver.constr; qubo; samples; value; satisfied = true; energy; hardware = None;
-        decided = None }
-    | None ->
-      let forced = forced_of analysis in
-      let verify_value v = Constr.verify constr v in
-      let verify bits = verify_value (Compile.decode constr bits) in
-      let init = warm_init t ~num_vars:(Qubo.num_vars qubo) in
-      let samples, hardware = sample_shrunk t ?init ~verify ~forced qubo in
-      let value, satisfied, energy = pick_value ~verify:verify_value constr samples in
-      let samples, hardware, value, satisfied, energy =
-        if satisfied || init = None then (samples, hardware, value, satisfied, energy)
-        else begin
-          (* A failed warm run retries the exact cold configuration, so an
-             incremental verdict is never worse than a from-scratch one. *)
-          Telemetry.count t.telemetry "incr.cold_retry" 1;
-          let samples, hardware = sample_shrunk t ~verify ~forced qubo in
-          let value, satisfied, energy = pick_value ~verify:verify_value constr samples in
-          (samples, hardware, value, satisfied, energy)
-        end
-      in
-      note_warm t samples;
-      note_sat t value satisfied;
-      { Solver.constr; qubo; samples; value; satisfied; energy; hardware; decided = None })
-
-(* ------------------------------------------------------------------ *)
-(* Joint conjunction queries                                           *)
-
-let verdicts cs s = List.map (fun c -> (c, Constr.verify c (Constr.Str s))) cs
+  let outcome =
+    match
+      Solver.chain ~sampler:t.sampler ~absint:t.absint ~telemetry:t.telemetry ~gc_probe:false
+        ~lint:None ~search:(search t)
+        ~encode:(fun () -> encode_cached t constr)
+        [ constr ]
+    with
+    | Ok (o, _) -> o
+    | Error _ -> Solver.unanswered constr
+  in
+  note_sat t outcome.Solver.value outcome.Solver.satisfied;
+  outcome
 
 let solve_joint t cs =
-  let* length = Joint.common_length cs in
-  let num_vars = 7 * length in
-  let analysis = analyze t cs in
-  match analysis with
-  | Some ({ Absint.verdict = (Absint.V_sat _ | Absint.V_unsat _) as verdict; _ } as a) ->
-    (* Decided before any merge: encode cache, merged QUBO, and warm
-       state stay exactly as the previous query left them. *)
-    let outcome = Joint.static_outcome cs ~num_vars ~analysis:a verdict in
-    if outcome.Joint.satisfied then t.last_sat <- Some outcome.Joint.value;
-    Ok outcome
-  | None | Some { Absint.verdict = Absint.V_undecided; _ } -> (
-    let forced = forced_of analysis in
-    let qubo = obtain t cs ~num_vars in
-    let all_ok s = List.for_all (fun c -> Constr.verify c (Constr.Str s)) cs in
-    match t.last_sat with
-    | Some s when String.length s = length && all_ok s ->
-      Telemetry.count t.telemetry "incr.model_reuse" 1;
-      let samples = Sampleset.of_bits qubo [ Ascii7.encode s ] in
-      note_warm t samples;
-      Ok
-        { Joint.qubo; samples; value = s; satisfied = true; per_constraint = verdicts cs s;
-          decided = None }
-    | _ -> begin
-      let verify bits = all_ok (Ascii7.decode bits) in
-      let init = warm_init t ~num_vars in
-      let run init = fst (sample_shrunk t ?init ~verify ~forced qubo) in
-      let outcome_of samples =
-        let decoded =
-          List.map (fun e -> Ascii7.decode e.Sampleset.bits) (Sampleset.entries samples)
-        in
-        match decoded with
-        | [] -> Error "sampler returned an empty sample set"
-        | first :: _ -> begin
-          match List.find_opt all_ok decoded with
-          | Some s ->
-            Ok
-              ( samples,
-                { Joint.qubo; samples; value = s; satisfied = true;
-                  per_constraint = verdicts cs s; decided = None } )
-          | None ->
-            Ok
-              ( samples,
-                { Joint.qubo; samples; value = first; satisfied = false;
-                  per_constraint = verdicts cs first; decided = None } )
-        end
-      in
-      let* samples, outcome = outcome_of (run init) in
-      let* samples, outcome =
-        if outcome.Joint.satisfied || init = None then Ok (samples, outcome)
-        else begin
-          Telemetry.count t.telemetry "incr.cold_retry" 1;
-          outcome_of (run None)
-        end
-      in
-      note_warm t samples;
-      if outcome.Joint.satisfied then t.last_sat <- Some outcome.Joint.value;
-      Ok outcome
-    end)
+  let result =
+    Joint.solve_with ~sampler:t.sampler ~absint:t.absint ~telemetry:t.telemetry
+      ~encode:(obtain t cs) ~search:(search t) cs
+  in
+  Result.iter (fun o -> note_sat t (Constr.Str o.Joint.value) o.Joint.satisfied) result;
+  result

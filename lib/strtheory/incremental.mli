@@ -27,6 +27,12 @@
       verifies against the new constraints (the [pop] case), sampling is
       skipped entirely.
 
+    Both query kinds run the shared solve chain ({!Solver.chain}); the
+    session supplies only the QUBO source (encode cache, patch,
+    re-merge) and one search policy (model reuse, warm start, cold
+    retry), so a query traces the same [solve] span family as
+    {!Solver.solve}.
+
     Telemetry counters: [incr.encode_hit], [incr.cache_hit],
     [incr.patched], [incr.patched_coeffs], [incr.remerged],
     [incr.warm_start], [incr.model_reuse], [incr.cold_retry]. *)
@@ -66,7 +72,9 @@ val solve_generate : t -> Constr.t -> Solver.outcome
     encoding comes from the cache when the constraint was seen before,
     the sampler is warm-started from the previous best assignment when
     the problem size matches, and a still-valid previous model
-    short-circuits sampling. *)
+    short-circuits sampling. A constraint that fails {!Constr.validate}
+    (e.g. a non-7-bit literal) yields {!Solver.unanswered} instead of
+    raising. *)
 
 val solve_joint : t -> Constr.t list -> (Joint.outcome, string) result
 (** Incremental counterpart of {!Joint.solve} for conjunctions in

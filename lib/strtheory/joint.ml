@@ -1,7 +1,5 @@
 module Qubo = Qsmt_qubo.Qubo
-module Ascii7 = Qsmt_util.Ascii7
 module Sampleset = Qsmt_anneal.Sampleset
-module Sampler = Qsmt_anneal.Sampler
 
 let ( let* ) = Result.bind
 
@@ -62,96 +60,31 @@ type outcome = {
   decided : Absint.analysis option;
 }
 
-let verdicts cs s = List.map (fun c -> (c, Constr.verify c (Constr.Str s))) cs
-
-(* Static outcomes carry an empty placeholder QUBO over the right
-   variable count and an empty sample set: no encoding was merged, no
-   sampler ran, zero reads. *)
-let static_outcome cs ~num_vars ~analysis verdict =
-  let qubo = Qubo.freeze ~num_vars (Qubo.builder ()) in
-  match verdict with
-  | Absint.V_sat (Constr.Str s) ->
+let solve_with ~sampler ~absint ~telemetry ~encode ~search cs =
+  let* length = common_length cs in
+  let* o, _ =
+    Solver.chain ~sampler ~absint ~telemetry ~gc_probe:false ~lint:None ~search
+      ~encode:(fun () -> encode ~num_vars:(7 * length))
+      cs
+  in
+  let value = match o.Solver.value with Constr.Str s -> s | Constr.Pos _ -> "" in
+  (* A static refutation is a proof that no string satisfies the whole
+     conjunction: every conjunct is reported unsatisfied. *)
+  let refuted = Option.is_some o.Solver.decided && not o.Solver.satisfied in
+  Ok
     {
-      qubo;
-      samples = Sampleset.empty;
-      value = s;
-      satisfied = true;
-      per_constraint = verdicts cs s;
-      decided = Some analysis;
-    }
-  | _ ->
-    (* unsat: no value exists; every conjunct is reported unsatisfied *)
-    {
-      qubo;
-      samples = Sampleset.empty;
-      value = "";
-      satisfied = false;
-      per_constraint = List.map (fun c -> (c, false)) cs;
-      decided = Some analysis;
+      qubo = o.Solver.qubo;
+      samples = o.Solver.samples;
+      value;
+      satisfied = o.Solver.satisfied;
+      per_constraint =
+        List.map (fun c -> (c, (not refuted) && Constr.verify c (Constr.Str value))) cs;
+      decided = o.Solver.decided;
     }
 
 let solve ?params ?sampler ?(absint = `On) ?(telemetry = Qsmt_util.Telemetry.null) cs =
-  let sampler =
-    match sampler with Some s -> s | None -> Solver.default_sampler ~seed:0
-  in
-  let* length = common_length cs in
-  let analysis =
-    match absint with
-    | `Off -> None
-    | `On -> (
-      match Absint.analyze cs with
-      | Ok a ->
-        Absint.emit telemetry a;
-        Some a
-      | Error _ -> None)
-  in
-  match analysis with
-  | Some ({ Absint.verdict = (Absint.V_sat _ | Absint.V_unsat _) as verdict; _ } as a) ->
-    Ok (static_outcome cs ~num_vars:(7 * length) ~analysis:a verdict)
-  | None | Some { Absint.verdict = Absint.V_undecided; _ } -> (
-    let* qubo, _length = encode ?params cs in
-    let all_ok s = List.for_all (fun c -> Constr.verify c (Constr.Str s)) cs in
-    let samples =
-      match Option.map Absint.forced_bits analysis with
-      | None | Some [] -> Sampler.run ~telemetry sampler qubo
-      | Some forced ->
-        Qsmt_util.Telemetry.count telemetry "absint.shrunk" 1;
-        let red = Qsmt_qubo.Preprocess.clamp qubo forced in
-        if Qsmt_qubo.Preprocess.num_free red = 0 then
-          Sampleset.of_bits qubo
-            [ Qsmt_qubo.Preprocess.expand red (Qsmt_util.Bitvec.create 0) ]
-        else
-          let verify bits =
-            all_ok (Ascii7.decode (Qsmt_qubo.Preprocess.expand red bits))
-          in
-          Solver.lift_samples ~qubo red
-            (Sampler.run ~verify ~telemetry sampler (Qsmt_qubo.Preprocess.residual red))
-    in
-    let decoded =
-      List.map (fun e -> Ascii7.decode e.Sampleset.bits) (Sampleset.entries samples)
-    in
-    match decoded with
-    | [] -> Error "sampler returned an empty sample set"
-    | first :: _ -> begin
-      match List.find_opt all_ok decoded with
-      | Some s ->
-        Ok
-          {
-            qubo;
-            samples;
-            value = s;
-            satisfied = true;
-            per_constraint = verdicts cs s;
-            decided = None;
-          }
-      | None ->
-        Ok
-          {
-            qubo;
-            samples;
-            value = first;
-            satisfied = false;
-            per_constraint = verdicts cs first;
-            decided = None;
-          }
-    end)
+  let sampler = match sampler with Some s -> s | None -> Solver.default_sampler ~seed:0 in
+  solve_with ~sampler ~absint ~telemetry ~search:Solver.cold
+    ~encode:(fun ~num_vars ->
+      merge_frozen ~num_vars (List.map (Compile.to_qubo ?params ~telemetry) cs))
+    cs

@@ -51,17 +51,6 @@ type outcome = {
           reported unsatisfied. A static unsat is a proof. *)
 }
 
-val static_outcome :
-  Constr.t list ->
-  num_vars:int ->
-  analysis:Absint.analysis ->
-  Absint.verdict ->
-  outcome
-(** The outcome shape of a statically-decided conjunction (shared with
-    {!Incremental}): empty placeholder QUBO over [num_vars], empty
-    sample set, and either the verified candidate ([V_sat]) or the
-    all-unsatisfied unsat report. *)
-
 val solve :
   ?params:Params.t ->
   ?sampler:Qsmt_anneal.Sampler.t ->
@@ -79,3 +68,17 @@ val solve :
     sampler anneals only the free subspace (answers and energies are
     unchanged — samples are lifted back and verified classically; pass
     [`Off] for a bit-exact replay of the unshrunk pipeline). *)
+
+val solve_with :
+  sampler:Qsmt_anneal.Sampler.t ->
+  absint:Absint.gate ->
+  telemetry:Qsmt_util.Telemetry.t ->
+  encode:(num_vars:int -> Qsmt_qubo.Qubo.t) ->
+  search:Solver.search ->
+  Constr.t list ->
+  (outcome, string) result
+(** {!solve} over {!Solver.chain} with the QUBO source and the search
+    policy supplied by the caller — how {!Incremental} reuses the joint
+    chain with its cached, patched merges and warm starts. [encode]
+    receives the variable count [7·L] of the common length and must
+    return a QUBO bit-exact equal to {!encode}'s. *)

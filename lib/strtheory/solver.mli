@@ -48,11 +48,69 @@ val lift_samples :
   Qsmt_qubo.Preprocess.t ->
   Qsmt_anneal.Sampleset.t ->
   Qsmt_anneal.Sampleset.t
-(** Shared plumbing of the absint shrink path (also used by {!Joint} and
-    {!Incremental}): expands every residual entry through
+(** The absint shrink path's lift: expands every residual entry through
     {!Qsmt_qubo.Preprocess.expand} and recomputes its energy on the full
     [qubo], so shrunk solves report energies bit-identical to what an
     unshrunk solve would report for the same assignments. *)
+
+(** {2 The solve chain}
+
+    Every entry point — {!solve_timed}, {!Joint.solve},
+    {!Incremental.solve_generate}, {!Incremental.solve_joint} — is a
+    thin wrapper over {!chain}: validate → absint → static outcome, or
+    encode → (lint) → clamp the forced bits → sample → lift → lazy
+    decode-and-verify scan. What differs between callers is passed in:
+    the conjunct list, how the QUBO is obtained, and the {!search}
+    policy that decides which assignments to try. *)
+
+val unanswered : Constr.t -> outcome
+(** The outcome of a query that produced no candidate: an empty
+    placeholder QUBO over the constraint's variables (none for a
+    constraint that fails {!Constr.validate}), zero reads,
+    [satisfied = false], [decided = None], and the constraint kind's
+    empty value ([Pos None] for [Includes], [Str ""] otherwise). *)
+
+type search =
+  qubo:Qsmt_qubo.Qubo.t ->
+  model:(Qsmt_util.Bitvec.t -> outcome) ->
+  anneal:(Qsmt_util.Bitvec.t option -> outcome) ->
+  outcome
+(** How the chain turns an encoded QUBO into an outcome. [model bits]
+    decodes and verifies one full assignment without sampling (model
+    reuse); [anneal init] clamps the forced bits, samples (warm-started
+    from the full-size [init], projected onto the free variables, with
+    early exit on the first verified read), lifts the samples back and
+    scans them. Either may be called any number of times. *)
+
+val cold : search
+(** Anneal once, from scratch: [anneal None]. *)
+
+val chain :
+  sampler:Qsmt_anneal.Sampler.t ->
+  absint:Absint.gate ->
+  telemetry:Qsmt_util.Telemetry.t ->
+  gc_probe:bool ->
+  lint:(Qsmt_qubo.Qubo.t -> unit) option ->
+  encode:(unit -> Qsmt_qubo.Qubo.t) ->
+  search:search ->
+  Constr.t list ->
+  (outcome * stage_timing, string) result
+(** Solves the conjunction of the given constraints, which must all
+    generate the same variables (a single constraint, or conjuncts that
+    passed {!Joint.common_length}); the first conjunct's
+    {!Compile.decode} decodes samples and a value is satisfied when every
+    conjunct verifies it. [Error] when the list is empty, a conjunct fails
+    {!Constr.validate}, or the sampler returns no samples.
+
+    A static absint verdict returns {!unanswered} with the verdict in
+    [decided] (and the candidate on [V_sat]) before [encode] is called.
+    Otherwise [encode] runs inside an [encode] span, [lint] (when given)
+    inside a [lint] span, and [search] picks the outcome. Every call
+    past validation opens one [solve] span (with [absint] / [encode] / [sample] /
+    [decode] children), emits one [solve.done] event and counts the
+    conjuncts in [solve.constraints]. [gc_probe] wraps the span in
+    {!Qsmt_util.Telemetry.with_gc_probe}; callers nested in another
+    probe pass [false]. *)
 
 val solve :
   ?params:Params.t ->
@@ -71,7 +129,9 @@ val solve :
     [lint] (default [`Off]) runs the static linter between encoding and
     sampling and raises {!Lint.Rejected} when any finding reaches the
     gate severity — no annealing time is spent on an encoding the linter
-    can already prove broken. [lint_config] tunes the checks. *)
+    can already prove broken. [lint_config] tunes the checks.
+    @raise Invalid_argument if the constraint fails {!Constr.validate}
+    or the sampler returns an empty sample set. *)
 
 val solve_timed :
   ?params:Params.t ->

@@ -307,6 +307,19 @@ let prop_tabu_finds_ground_small =
       let s = Tabu.sample ~params:{ Tabu.default with Tabu.restarts = 8; iterations = 300 } q in
       Float.abs (Sampleset.lowest_energy s -. Exact.minimum_energy q) < 1e-9)
 
+let test_tabu_plateau_regression () =
+  (* Found by the property above: with the old auto tenure (2 on seven
+     variables) the lowest-index tie-break cycled on a zero-delta plateau
+     and every restart stopped at -4, whatever the iteration budget. *)
+  let b = Qubo.builder () in
+  List.iter
+    (fun (i, j, v) -> Qubo.add b i j v)
+    [ (0, 1, 2.); (0, 2, 1.); (0, 3, -4.); (0, 6, 4.); (1, 5, 7.); (3, 6, 2.); (5, 6, -5.) ];
+  let q = Qubo.freeze ~num_vars:7 b in
+  check (Alcotest.float 0.) "ground energy" (-5.) (Exact.minimum_energy q);
+  let s = Tabu.sample ~params:{ Tabu.default with Tabu.restarts = 8; iterations = 300 } q in
+  check (Alcotest.float 1e-9) "tabu reaches it" (-5.) (Sampleset.lowest_energy s)
+
 let test_tabu_validation () =
   Alcotest.check_raises "tenure" (Invalid_argument "Tabu.sample: negative tenure") (fun () ->
       ignore (Tabu.sample ~params:{ Tabu.default with Tabu.tenure = Some (-1) } (target_qubo "1")))
@@ -1319,6 +1332,7 @@ let () =
           Alcotest.test_case "solves diagonal" `Quick test_tabu_solves_diagonal;
           Alcotest.test_case "validation" `Quick test_tabu_validation;
           prop_tabu_finds_ground_small;
+          Alcotest.test_case "plateau regression" `Quick test_tabu_plateau_regression;
         ] );
       ( "pt",
         [

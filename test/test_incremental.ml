@@ -56,10 +56,24 @@ let table1_ops =
     Constr.Regex { pattern = Rparser.parse_exn "a[bc]+"; length = 3 };
   ]
 
+(* Whole sample sets, entry by entry: assignment, energy, occurrences. *)
+let check_same_samples name a b =
+  let entry =
+    Alcotest.testable
+      (fun ppf e ->
+        Format.fprintf ppf "%s@%g x%d" (Bitvec.to_string e.Sampleset.bits) e.Sampleset.energy
+          e.Sampleset.occurrences)
+      (fun x y ->
+        Bitvec.equal x.Sampleset.bits y.Sampleset.bits
+        && Float.equal x.Sampleset.energy y.Sampleset.energy
+        && x.Sampleset.occurrences = y.Sampleset.occurrences)
+  in
+  check (Alcotest.list entry) (name ^ " samples") (Sampleset.entries a) (Sampleset.entries b)
+
 let test_generate_cold_parity () =
   (* A fresh session's first query runs the exact same sampler
-     configuration as [Solver.solve]: identical value, verdict and
-     energy. *)
+     configuration as [Solver.solve]: identical value, verdict, energy
+     and sample set. *)
   List.iter
     (fun constr ->
       let scratch = Solver.solve constr in
@@ -68,7 +82,8 @@ let test_generate_cold_parity () =
       let name = Constr.describe constr in
       check Alcotest.bool (name ^ " verdict") scratch.Solver.satisfied incr.Solver.satisfied;
       check Alcotest.bool (name ^ " value") true (scratch.Solver.value = incr.Solver.value);
-      check (Alcotest.float 0.) (name ^ " energy") scratch.Solver.energy incr.Solver.energy)
+      check (Alcotest.float 0.) (name ^ " energy") scratch.Solver.energy incr.Solver.energy;
+      check_same_samples name scratch.Solver.samples incr.Solver.samples)
     table1_ops
 
 let test_generate_requery_never_worse () =
@@ -97,6 +112,7 @@ let test_joint_push_pop_parity () =
   let s1 = scratch [ pal ] and i1 = incr [ pal ] in
   check Alcotest.bool "cold verdict" s1.Joint.satisfied i1.Joint.satisfied;
   check Alcotest.string "cold value" s1.Joint.value i1.Joint.value;
+  check_same_samples "cold" s1.Joint.samples i1.Joint.samples;
   let s2 = scratch [ pal; con ] and i2 = incr [ pal; con ] in
   check Alcotest.bool "push qubo bit-exact" true (Qubo.equal s2.Joint.qubo i2.Joint.qubo);
   if s2.Joint.satisfied then check Alcotest.bool "push verdict" true i2.Joint.satisfied;
@@ -104,7 +120,43 @@ let test_joint_push_pop_parity () =
      verdict must stay sat without any sampling *)
   let i3 = incr [ pal ] in
   check Alcotest.bool "pop verdict" true i3.Joint.satisfied;
-  check Alcotest.bool "pop qubo bit-exact" true (Qubo.equal s1.Joint.qubo i3.Joint.qubo)
+  check Alcotest.bool "pop qubo bit-exact" true (Qubo.equal s1.Joint.qubo i3.Joint.qubo);
+  (* A conjunction absint shrinks (28 forced bits) but leaves undecided:
+     a fresh session anneals the same clamped residual as [Joint.solve]. *)
+  let shrunk =
+    [
+      Constr.Index_of { length = 5; substring = "ab"; index = 0 };
+      Constr.Palindrome { length = 5 };
+    ]
+  in
+  let s4 = scratch shrunk and i4 = Result.get_ok (Incremental.solve_joint (Incremental.create ()) shrunk) in
+  let forced = Qsmt_strtheory.Absint.forced_bits (Result.get_ok (Qsmt_strtheory.Absint.analyze shrunk)) in
+  check Alcotest.int "shrunk forced bits" 28 (List.length forced);
+  check Alcotest.bool "shrunk undecided" true (s4.Joint.decided = None);
+  check Alcotest.int "shrunk reads" 32 (Sampleset.total_reads s4.Joint.samples);
+  check Alcotest.bool "shrunk verdict" s4.Joint.satisfied i4.Joint.satisfied;
+  check Alcotest.string "shrunk value" s4.Joint.value i4.Joint.value;
+  check_same_samples "shrunk" s4.Joint.samples i4.Joint.samples
+
+let test_no_candidate () =
+  (* No candidate to decode — a sampler that returns nothing (a
+     portfolio whose members all failed) or a constraint without an
+     encoding — is an error for the one-shot entry points and an
+     unsatisfied outcome (SMT-LIB: unknown) for a session, never a
+     crash. *)
+  let empty = Sampler.make ~name:"empty" (fun _ -> Sampleset.empty) in
+  let pal = Constr.Palindrome { length = 4 } in
+  check Alcotest.bool "joint error" true (Result.is_error (Joint.solve ~sampler:empty [ pal ]));
+  check Alcotest.bool "scratch raises" true
+    (match Solver.solve ~sampler:empty pal with exception Invalid_argument _ -> true | _ -> false);
+  let session = Incremental.create ~sampler:empty () in
+  check Alcotest.bool "session generate" false
+    (Incremental.solve_generate session pal).Solver.satisfied;
+  check Alcotest.bool "session joint" true
+    (Result.is_error (Incremental.solve_joint session [ pal ]));
+  let o = Incremental.solve_generate (Incremental.create ()) (Constr.Equals "h\xc3\xa9") in
+  check Alcotest.bool "non-7-bit literal" false o.Solver.satisfied;
+  check Alcotest.int "no reads" 0 (Sampleset.total_reads o.Solver.samples)
 
 (* ------------------------------------------------------------------ *)
 (* Bit-exact delta patching (property) *)
@@ -426,6 +478,7 @@ let () =
           prop_patched_merge_bitexact;
           Alcotest.test_case "telemetry counters" `Quick test_counters;
           Alcotest.test_case "model reuse" `Quick test_model_reuse_skips_sampling;
+          Alcotest.test_case "no candidate" `Quick test_no_candidate;
         ] );
       ( "cdcl-incremental",
         [
