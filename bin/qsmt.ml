@@ -473,56 +473,62 @@ let build_sampler kind ~seed ~reads ~sweeps ~domains ~jobs ~budget ~topology ~to
    One incremental session per backend — repeated queries across a
    push/pop script hit the outcome cache, and conjunctions share a
    single assumption-based CDCL instance that keeps its learned
-   clauses. *)
+   clauses. A query CDCL cannot encode (a literal outside 7-bit ASCII)
+   answers unknown, as on the annealing backend. *)
 let classical_backend () =
   let session = Strsolver.Session.create () in
+  let encodable c = Result.is_ok (Bitblast.validate c) in
   let value_of = function
     | Constr.Str s -> Some (Eval.V_str s)
     | Constr.Pos (Some i) -> Some (Eval.V_int i)
     | Constr.Pos None -> None
   in
   let solve_one constr =
-    let o = Strsolver.Session.solve session constr in
-    match o.Strsolver.result with
-    | `Unsat -> `Unsat
-    | `Sat when o.Strsolver.satisfied -> begin
-      match Option.bind o.Strsolver.value value_of with
-      | Some v -> `Value v
-      | None -> `Unknown
-    end
-    | `Sat | `Unknown -> `Unknown
+    if not (encodable constr) then `Unknown
+    else
+      let o = Strsolver.Session.solve session constr in
+      match o.Strsolver.result with
+      | `Unsat -> `Unsat
+      | `Sat when o.Strsolver.satisfied -> begin
+        match Option.bind o.Strsolver.value value_of with
+        | Some v -> `Value v
+        | None -> `Unknown
+      end
+      | `Sat | `Unknown -> `Unknown
   in
   {
     Interp.backend_name = "classical";
     solve_generate = solve_one;
     solve_joint =
       (fun conjuncts ->
-        match Strsolver.Session.solve_joint session conjuncts with
-        | Ok (`Sat s, _) -> `Value (Eval.V_str s)
-        | Ok (`Unsat, _) -> `Unsat (* exact: a real refutation *)
-        | Ok (`Unknown, _) -> `Unknown
-        | Error _ ->
-          (* not joint-encodable (an Includes conjunct, length mismatch):
-             solve each conjunct independently; any refuted conjunct
-             refutes the conjunction, and any conjunct's model that
-             verifies against all conjuncts is a model of the
-             conjunction. Anything else stays unknown. *)
-          let outcomes = List.map (Strsolver.Session.solve session) conjuncts in
-          if List.exists (fun o -> o.Strsolver.result = `Unsat) outcomes then `Unsat
-          else begin
-            let candidate_ok v = List.for_all (fun c -> Constr.verify c v) conjuncts in
-            let witness =
-              List.find_map
-                (fun o ->
-                  match (o.Strsolver.result, o.Strsolver.value) with
-                  | `Sat, Some (Constr.Str _ as v) when o.Strsolver.satisfied && candidate_ok v
-                    ->
-                    Some v
-                  | _ -> None)
-                outcomes
-            in
-            match Option.bind witness value_of with Some v -> `Value v | None -> `Unknown
-          end);
+        if not (List.for_all encodable conjuncts) then `Unknown
+        else
+          match Strsolver.Session.solve_joint session conjuncts with
+          | Ok (`Sat s, _) -> `Value (Eval.V_str s)
+          | Ok (`Unsat, _) -> `Unsat (* exact: a real refutation *)
+          | Ok (`Unknown, _) -> `Unknown
+          | Error _ ->
+            (* not joint-encodable (an Includes conjunct, length mismatch):
+               solve each conjunct independently; any refuted conjunct
+               refutes the conjunction, and any conjunct's model that
+               verifies against all conjuncts is a model of the
+               conjunction. Anything else stays unknown. *)
+            let outcomes = List.map (Strsolver.Session.solve session) conjuncts in
+            if List.exists (fun o -> o.Strsolver.result = `Unsat) outcomes then `Unsat
+            else begin
+              let candidate_ok v = List.for_all (fun c -> Constr.verify c v) conjuncts in
+              let witness =
+                List.find_map
+                  (fun o ->
+                    match (o.Strsolver.result, o.Strsolver.value) with
+                    | `Sat, Some (Constr.Str _ as v) when o.Strsolver.satisfied && candidate_ok v
+                      ->
+                      Some v
+                    | _ -> None)
+                  outcomes
+              in
+              match Option.bind witness value_of with Some v -> `Value v | None -> `Unknown
+            end);
   }
 
 (* ------------------------------------------------------------------ *)
@@ -1374,19 +1380,19 @@ let export_action op args format =
     prerr_endline ("qsmt: " ^ m);
     2
   | Ok constr -> begin
-    match format with
-    | `Qubo -> begin
-      match Constr.validate constr with
+    let emit validation text =
+      match validation with
       | Error m ->
         prerr_endline ("qsmt: invalid constraint: " ^ m);
         2
       | Ok () ->
-        print_string (Qubo_io.to_string (Compile.to_qubo constr));
+        print_string (text ());
         0
-    end
+    in
+    match format with
+    | `Qubo -> emit (Constr.validate constr) (fun () -> Qubo_io.to_string (Compile.to_qubo constr))
     | `Dimacs ->
-      print_string (Dimacs.to_string (Bitblast.encode constr));
-      0
+      emit (Bitblast.validate constr) (fun () -> Dimacs.to_string (Bitblast.encode constr))
     | `Smt2 -> begin
       match Smtgen.script constr with
       | Ok text ->

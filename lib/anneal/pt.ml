@@ -121,12 +121,7 @@ let run_read ~ising ~params ~betas ?init ?stop ?on_sweep rng =
     incr sweep;
     let sweep = !sweep in
     for r = 0 to k - 1 do
-      let beta = betas.(r) in
-      let f = replicas.(r) in
-      for i = 0 to n - 1 do
-        let delta = Fields.delta f i in
-        if delta <= 0. || Prng.float rng < Float.exp (-.beta *. delta) then Fields.flip f i
-      done;
+      ignore (Fields.metropolis_sweep replicas.(r) ~rng ~beta:betas.(r));
       note_best r
     done;
     let swaps = ref 0 in

@@ -22,39 +22,18 @@ let default = { reads = 32; sweeps = 1000; schedule = None; seed = 0; domains = 
 let read_rng ~seed r = Prng.stream ~seed r
 
 (* The Metropolis loop over an already-built incremental state: O(1) per
-   proposal, O(degree) per accepted flip. The loop body exists twice:
-   the bare variant is the benchmarked hot kernel and must not pay for
-   observability it isn't using; the counting variant additionally tracks
-   accepted flips for the per-sweep callback. *)
+   proposal, O(degree) per accepted flip. *)
 let anneal_fields ~rng ~schedule ?on_sweep ?stop fields =
-  let n = Fields.num_spins fields in
   let stopped () = match stop with Some f -> f () | None -> false in
   let k = ref 0 in
   let sweeps = Schedule.sweeps schedule in
-  match on_sweep with
-  | None ->
-    while !k < sweeps && not (stopped ()) do
-      let beta = Schedule.beta schedule !k in
-      for i = 0 to n - 1 do
-        let delta = Fields.delta fields i in
-        if delta <= 0. || Prng.float rng < Float.exp (-.beta *. delta) then Fields.flip fields i
-      done;
-      incr k
-    done
-  | Some f ->
-    while !k < sweeps && not (stopped ()) do
-      let beta = Schedule.beta schedule !k in
-      let accepted = ref 0 in
-      for i = 0 to n - 1 do
-        let delta = Fields.delta fields i in
-        if delta <= 0. || Prng.float rng < Float.exp (-.beta *. delta) then begin
-          Fields.flip fields i;
-          incr accepted
-        end
-      done;
-      f ~sweep:!k ~energy:(Fields.energy fields) ~accepted:!accepted;
-      incr k
-    done
+  while !k < sweeps && not (stopped ()) do
+    let accepted = Fields.metropolis_sweep fields ~rng ~beta:(Schedule.beta schedule !k) in
+    (match on_sweep with
+    | Some f -> f ~sweep:!k ~energy:(Fields.energy fields) ~accepted
+    | None -> ());
+    incr k
+  done
 
 let anneal_ising ~rng ~schedule ?init ?on_sweep ?stop ising =
   let n = Ising.num_spins ising in

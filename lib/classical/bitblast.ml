@@ -4,11 +4,6 @@ module Constr = Qsmt_strtheory.Constr
 module Semantics = Qsmt_strtheory.Semantics
 module Dfa = Qsmt_regex.Dfa
 
-let validate_exn c =
-  match Constr.validate c with
-  | Ok () -> ()
-  | Error msg -> invalid_arg ("Bitblast.encode: " ^ msg)
-
 (* Clause fragment: bit [i] of character [j] must equal bit [i] of [c]. *)
 let char_bit_literal ~char_index ~bit c =
   let v = Ascii7.var_of ~char_index ~bit in
@@ -114,14 +109,15 @@ let encode_regex ~pattern ~length =
   clauses := (if accepting = [] then [ [ Cnf.pos 0 ]; [ Cnf.neg 0 ] ] else [ accepting ]) @ !clauses;
   Cnf.create ~num_vars:(max 1 (char_bits + ((length + 1) * num_states))) !clauses
 
+(* Regex skips Constr.validate: that check enforces the QUBO encoder's
+   product-form restriction, but the unrolled-DFA encoding here is
+   complete for every regex and every (non-negative) length. *)
+let validate = function
+  | Constr.Regex { length; _ } -> if length < 0 then Error "negative regex length" else Ok ()
+  | c -> Constr.validate c
+
 let encode c =
-  (* Regex skips Constr.validate: that check enforces the QUBO encoder's
-     product-form restriction, but the unrolled-DFA encoding here is
-     complete for every regex and every (non-negative) length. *)
-  (match c with
-  | Constr.Regex { length; _ } ->
-    if length < 0 then invalid_arg "Bitblast.encode: negative regex length"
-  | _ -> validate_exn c);
+  (match validate c with Ok () -> () | Error msg -> invalid_arg ("Bitblast.encode: " ^ msg));
   match c with
   | Constr.Equals s -> Cnf.create ~num_vars:(max 1 (7 * String.length s)) (fixed_string_clauses s)
   | Constr.Concat parts ->

@@ -19,9 +19,14 @@
     [7n] string bits, so a model's prefix decodes with the same
     {!Qsmt_strtheory.Compile.decode} as annealer samples. *)
 
+val validate : Qsmt_strtheory.Constr.t -> (unit, string) result
+(** The check {!encode} makes: {!Qsmt_strtheory.Constr.validate}, except
+    that a regex only needs a non-negative length (its unrolled-DFA
+    encoding has no product-form restriction). [Error] carries the
+    reason, e.g. a literal outside 7-bit ASCII. *)
+
 val encode : Qsmt_strtheory.Constr.t -> Cnf.t
-(** @raise Invalid_argument if the constraint fails
-    {!Qsmt_strtheory.Constr.validate}. *)
+(** @raise Invalid_argument if the constraint fails {!validate}. *)
 
 val decode : Qsmt_strtheory.Constr.t -> Qsmt_util.Bitvec.t -> Qsmt_strtheory.Constr.value
 (** Reads a SAT model (over {!encode}'s variables) back to a value. *)

@@ -1,4 +1,5 @@
 module Bitvec = Qsmt_util.Bitvec
+module Prng = Qsmt_util.Prng
 
 type t = {
   ising : Ising.t;
@@ -7,7 +8,9 @@ type t = {
   value : float array;
   mutable spins : Ising.spins;
   field : float array;
-  mutable energy : float;
+  energy : float array;
+      (* one cell: a mutable float field in this mixed record would box
+         on every accepted flip, a float array stores it flat *)
   refresh_every : int; (* accepted flips between from-scratch refreshes; 0 = never *)
   mutable flips : int; (* accepted flips since the last refresh *)
 }
@@ -23,7 +26,7 @@ let recompute t =
   for i = 0 to n - 1 do
     t.field.(i) <- Ising.local_field t.ising t.spins i
   done;
-  t.energy <- Ising.energy t.ising t.spins;
+  t.energy.(0) <- Ising.energy t.ising t.spins;
   t.flips <- 0
 
 let check_refresh_every refresh_every =
@@ -43,7 +46,7 @@ let create ?(refresh_every = 0) ising spins =
       value;
       spins;
       field = Array.make (Ising.num_spins ising) 0.;
-      energy = 0.;
+      energy = [| 0. |];
       refresh_every;
       flips = 0;
     }
@@ -54,18 +57,18 @@ let create ?(refresh_every = 0) ising spins =
 let problem t = t.ising
 let num_spins t = Ising.num_spins t.ising
 let spins t = t.spins
-let energy t = t.energy
+let energy t = t.energy.(0)
 let field t i = t.field.(i)
-let spin_sign t i = if Bitvec.get t.spins i then 1. else -1.
+let[@inline] spin_sign t i = if Bitvec.get t.spins i then 1. else -1.
 
 (* Same expression shape as Ising.flip_delta so the two agree exactly
    whenever the tracked field does. *)
-let delta t i = -2. *. spin_sign t i *. t.field.(i)
+let[@inline] delta t i = -2. *. spin_sign t i *. t.field.(i)
 
 let refresh t = recompute t
 
 let flip t i =
-  t.energy <- t.energy +. delta t i;
+  t.energy.(0) <- t.energy.(0) +. delta t i;
   Bitvec.flip t.spins i;
   (* s_i changed by (new - old) = 2 * new, so f_j += 2 * J_ij * new_s_i;
      f_i itself does not depend on s_i and is untouched. *)
@@ -77,7 +80,23 @@ let flip t i =
   t.flips <- t.flips + 1;
   if t.refresh_every > 0 && t.flips >= t.refresh_every then recompute t
 
-let drift t = Float.abs (t.energy -. Ising.energy t.ising t.spins)
+(* The one Metropolis sweep every scalar sampler runs. It lives here,
+   not in the samplers, so [delta], [flip] and the uniform draw are
+   same-module calls: they stay unboxed even when the build turns off
+   cross-module inlining (dune's dev profile compiles with -opaque). The
+   draw is [Prng.float]'s value, taken only when [delta > 0]. *)
+let metropolis_sweep t ~rng ~beta =
+  let accepted = ref 0 in
+  for i = 0 to num_spins t - 1 do
+    let d = delta t i in
+    if d <= 0. || float_of_int (Prng.bits53 rng) *. 0x1.0p-53 < Float.exp (-.beta *. d) then begin
+      flip t i;
+      incr accepted
+    end
+  done;
+  !accepted
+
+let drift t = Float.abs (t.energy.(0) -. Ising.energy t.ising t.spins)
 
 let reset t spins =
   check_length t.ising spins;

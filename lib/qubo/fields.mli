@@ -62,6 +62,14 @@ val flip : t -> int -> unit
 (** Flips spin [i]: applies {!delta} to the energy, toggles the bit, and
     updates the neighbors' fields. O(degree i). *)
 
+val metropolis_sweep : t -> rng:Qsmt_util.Prng.t -> beta:float -> int
+(** [metropolis_sweep t ~rng ~beta] proposes a flip of every spin once,
+    in index order, and returns the number accepted. A proposal with
+    [delta <= 0.] is always accepted without a draw; otherwise one
+    uniform [u] (the value {!Qsmt_util.Prng.float} would return) is
+    drawn and the flip accepted iff [u < exp (-. beta *. delta)]. Does
+    not allocate. *)
+
 val refresh : t -> unit
 (** Recomputes every field and the energy from the current spins in
     O(n + nnz), zeroing accumulated drift. *)

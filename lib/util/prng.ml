@@ -1,4 +1,11 @@
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+(* The four xoshiro words s0..s3 live at byte offsets 0, 8, 16, 24 of a
+   32-byte buffer. A record of [mutable int64] fields would box a fresh
+   Int64 on every store; the 64-bit bytes primitives read and write the
+   words unboxed, so a draw allocates nothing. *)
+type t = Bytes.t
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 (* SplitMix64: used only to expand a seed into the four xoshiro words, and
    to implement [split]. *)
@@ -18,7 +25,12 @@ let of_splitmix state =
   (* xoshiro requires a nonzero state; splitmix output is zero for at most
      one of the four draws, so forcing one word nonzero is enough. *)
   let s3 = if s0 = 0L && s1 = 0L && s2 = 0L && s3 = 0L then 1L else s3 in
-  { s0; s1; s2; s3 }
+  let t = Bytes.create 32 in
+  set64 t 0 s0;
+  set64 t 8 s1;
+  set64 t 16 s2;
+  set64 t 24 s3;
+  t
 
 let create seed = of_splitmix (ref (Int64.of_int seed))
 
@@ -35,22 +47,23 @@ let stream ~seed k =
   in
   of_splitmix (ref mixed)
 
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
+let copy = Bytes.copy
 
-let rotl x k =
+let[@inline] rotl x k =
   Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
-let bits64 t =
+let[@inline] bits64 t =
   let open Int64 in
-  let result = mul (rotl (mul t.s1 5L) 7) 9L in
-  let tmp = shift_left t.s1 17 in
-  t.s2 <- logxor t.s2 t.s0;
-  t.s3 <- logxor t.s3 t.s1;
-  t.s1 <- logxor t.s1 t.s2;
-  t.s0 <- logxor t.s0 t.s3;
-  t.s2 <- logxor t.s2 tmp;
-  t.s3 <- rotl t.s3 45;
+  let s0 = get64 t 0 and s1 = get64 t 8 in
+  let s2 = logxor (get64 t 16) s0 and s3 = logxor (get64 t 24) s1 in
+  let result = mul (rotl (mul s1 5L) 7) 9L in
+  set64 t 0 (logxor s0 s3);
+  set64 t 8 (logxor s1 s2);
+  set64 t 16 (logxor s2 (shift_left s1 17));
+  set64 t 24 (rotl s3 45);
   result
+
+let[@inline] bits53 t = Int64.to_int (Int64.shift_right_logical (bits64 t) 11)
 
 let split t =
   let seed = bits64 t in
@@ -74,10 +87,8 @@ let int t n =
   in
   loop ()
 
-let float t =
-  (* 53 high bits scaled to [0,1). *)
-  let r = Int64.shift_right_logical (bits64 t) 11 in
-  Int64.to_float r *. 0x1.0p-53
+(* 53 high bits scaled to [0,1). *)
+let[@inline] float t = float_of_int (bits53 t) *. 0x1.0p-53
 
 let bool t = Int64.logand (bits64 t) 1L = 1L
 let uniform t lo hi = lo +. ((hi -. lo) *. float t)

@@ -40,6 +40,13 @@ val stream : seed:int -> int -> t
 val bits64 : t -> int64
 (** [bits64 t] is the next raw 64-bit output. *)
 
+val bits53 : t -> int
+(** [bits53 t] is the 53 high bits of the next {!bits64} output, as an
+    immediate int in [\[0, 2^53)]. Unlike {!bits64} and {!float}, its
+    result is never boxed, so callers in other modules can draw a
+    uniform ([float_of_int (bits53 t) *. 0x1.0p-53], the value {!float}
+    returns) without allocating. *)
+
 val int : t -> int -> int
 (** [int t n] is uniform in [\[0, n)]. Requires [n > 0]. Unbiased
     (rejection sampling). *)

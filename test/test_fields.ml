@@ -163,6 +163,73 @@ let kernel_units =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* Fields.metropolis_sweep: same draws as the reference loop, and no
+   allocation in the proposal loop *)
+
+let planted_king =
+  lazy
+    (let q, _, _ =
+       Spinglass.planted ~rng:(Prng.create 5) ~coupling:Spinglass.Gaussian
+         (Topology.graph (Topology.king ~rows:8 ~cols:8))
+     in
+     q)
+
+let minor_words_during f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+let sweep_units =
+  [
+    Alcotest.test_case "sweep matches the reference Metropolis loop" `Quick (fun () ->
+        let ising = Ising.of_qubo (Lazy.force planted_king) in
+        let n = Ising.num_spins ising in
+        let start = Bitvec.random (Prng.create 3) n in
+        let swept = Fields.create ising (Bitvec.copy start) in
+        let reference = Fields.create ising (Bitvec.copy start) in
+        let rng_s = Prng.create 9 and rng_r = Prng.create 9 in
+        List.iter
+          (fun beta ->
+            let accepted = Fields.metropolis_sweep swept ~rng:rng_s ~beta in
+            let expected = ref 0 in
+            for i = 0 to n - 1 do
+              let delta = Fields.delta reference i in
+              if delta <= 0. || Prng.float rng_r < Float.exp (-.beta *. delta) then begin
+                Fields.flip reference i;
+                incr expected
+              end
+            done;
+            Alcotest.(check int) "accepted" !expected accepted;
+            Alcotest.(check string)
+              "spins"
+              (Bitvec.to_string (Fields.spins reference))
+              (Bitvec.to_string (Fields.spins swept));
+            Alcotest.(check (float 0.)) "energy" (Fields.energy reference) (Fields.energy swept))
+          [ 0.1; 0.5; 1.; 2.; 5.; 20. ];
+        Alcotest.(check int64) "rng position" (Prng.bits64 rng_r) (Prng.bits64 rng_s));
+    Alcotest.test_case "sweep allocates nothing per proposal" `Quick (fun () ->
+        let ising = Ising.of_qubo (Lazy.force planted_king) in
+        let fields = Fields.create ising (Bitvec.random (Prng.create 3) (Ising.num_spins ising)) in
+        let rng = Prng.create 9 in
+        let words =
+          minor_words_during (fun () ->
+              for _ = 1 to 100 do
+                ignore (Fields.metropolis_sweep fields ~rng ~beta:1.)
+              done)
+        in
+        (* 6400 proposals; only the measurement's own boxed floats may show *)
+        if words > 16. then Alcotest.failf "100 sweeps of 64 spins allocated %.0f words" words);
+    Alcotest.test_case "Sa.sample allocates < 0.25 words per proposal" `Quick (fun () ->
+        let q = Lazy.force planted_king in
+        let reads = 4 and sweeps = 1000 in
+        let params = { Sa.default with Sa.reads; sweeps; seed = 1 } in
+        let words = minor_words_during (fun () -> ignore (Sa.sample ~params q)) in
+        let per_proposal = words /. float_of_int (reads * sweeps * Qubo.num_vars q) in
+        if per_proposal >= 0.25 then
+          Alcotest.failf "Sa.sample allocated %.3f words per proposal" per_proposal);
+  ]
+
+(* ------------------------------------------------------------------ *)
 (* Sampleset.of_tracked *)
 
 let tracked_units =
@@ -365,6 +432,7 @@ let () =
   Alcotest.run "qsmt_fields"
     [
       ("kernel-vs-naive", kernel_props @ kernel_units);
+      ("metropolis-sweep", sweep_units);
       ("of-tracked", tracked_props @ tracked_units);
       ("tracked-energies", sampler_energy_tests);
       ("table1-regressions", regression_tests);

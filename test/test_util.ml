@@ -164,6 +164,53 @@ let test_prng_stream_decorrelated () =
   Alcotest.check_raises "negative index" (Invalid_argument "Prng.stream: negative stream index")
     (fun () -> ignore (Prng.stream ~seed:0 (-1)))
 
+(* Golden vectors: xoshiro256** outputs pinned from the boxed-int64
+   implementation. Any change to the state representation must leave
+   every draw identical, or every fixed-seed sample set moves. *)
+let check_bits64 name expected t =
+  List.iteri
+    (fun i e -> check Alcotest.int64 (Printf.sprintf "%s[%d]" name i) e (Prng.bits64 t))
+    expected
+
+let test_prng_golden_create () =
+  check_bits64 "create 42"
+    [
+      0x15780B2E0C2EC716L; 0x6104D9866D113A7EL; 0xAE17533239E499A1L; 0xECB8AD4703B360A1L;
+      0xFDE6DC7FE2EC5E64L; 0xC50DA53101795238L; 0xB82154855A65DDB2L; 0xD99A2743EBE60087L;
+    ]
+    (Prng.create 42)
+
+let test_prng_golden_stream () =
+  check_bits64 "stream 1 3000"
+    [
+      0x2EEAB7B0B22016DFL; 0x5A3F43F946A9B1BCL; 0xE6EFECD4D0A519C9L; 0x17D0E6445C769FA6L;
+      0x488B081DA428543BL; 0x62F1D7D223F39838L; 0xFF11ACEA03CB50E3L; 0xF5B30CECE71B519FL;
+    ]
+    (Prng.stream ~seed:1 3000)
+
+let test_prng_golden_float_int () =
+  check (Alcotest.float 0.) "first float" 0x1.5780b2e0c2ecp-4 (Prng.float (Prng.create 42));
+  check Alcotest.int "first int 17" 4 (Prng.int (Prng.create 42) 17)
+
+let test_prng_golden_split_copy () =
+  let parent = Prng.create 42 in
+  let child = Prng.split parent in
+  check_bits64 "split child"
+    [
+      0x8EE445D14631C453L; 0x106FA1A13296FE62L; 0x729A768806244CE5L; 0x91D83A17B20E6585L;
+      0x38C33DF442FC70FDL; 0xE33CD1B92E2E42F1L; 0x3162280B9DCFA5EFL; 0xB4F9F0541228B854L;
+    ]
+    child;
+  check_bits64 "split parent" [ 0x6104D9866D113A7EL ] parent;
+  let t = Prng.create 42 in
+  ignore (Prng.bits64 t);
+  check_bits64 "copy"
+    [
+      0x6104D9866D113A7EL; 0xAE17533239E499A1L; 0xECB8AD4703B360A1L; 0xFDE6DC7FE2EC5E64L;
+      0xC50DA53101795238L; 0xB82154855A65DDB2L; 0xD99A2743EBE60087L; 0xC2E96E726E97647EL;
+    ]
+    (Prng.copy t)
+
 (* ------------------------------------------------------------------ *)
 (* Bitvec *)
 
@@ -489,6 +536,10 @@ let () =
           Alcotest.test_case "large bound rejection" `Quick test_prng_int_large_bound;
           Alcotest.test_case "stream deterministic" `Quick test_prng_stream_deterministic;
           Alcotest.test_case "stream decorrelated" `Quick test_prng_stream_decorrelated;
+          Alcotest.test_case "golden create" `Quick test_prng_golden_create;
+          Alcotest.test_case "golden stream" `Quick test_prng_golden_stream;
+          Alcotest.test_case "golden float and int" `Quick test_prng_golden_float_int;
+          Alcotest.test_case "golden split and copy" `Quick test_prng_golden_split_copy;
         ] );
       ( "bitvec",
         [
