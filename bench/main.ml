@@ -3,7 +3,9 @@
    Regenerates every table and figure of the paper's evaluation, then
    the extension experiments DESIGN.md commits to, then Bechamel micro
    timings (one Test.make per table/figure). Everything is seeded, so
-   the output is reproducible run to run.
+   the output is reproducible run to run. Table 1, Figure 1 and the
+   Ext-2a sampler ablation run the paper's pipeline (absint off). The
+   gated measurements with committed baselines live in bench/ledger.ml.
 
      dune exec bench/main.exe              full run
      QSMT_BENCH_FAST=1 dune exec ...       reduced sizes (CI smoke run)
@@ -62,8 +64,7 @@ module Workload = Qsmt_strtheory.Workload
 module Brute = Qsmt_classical.Brute
 module Rparser = Qsmt_regex.Parser
 module Telemetry = Qsmt_util.Telemetry
-
-let fast = Sys.getenv_opt "QSMT_BENCH_FAST" <> None
+open Qsmt_bench
 
 (* QSMT_BENCH_TRACE=path streams the instrumented sections (Figure 1,
    Ext-7) through the same JSONL sink the CLI's --trace uses, so bench
@@ -83,9 +84,6 @@ let telemetry, close_trace =
         close_out oc )
 let reads = if fast then 8 else 32
 let sweeps = if fast then 200 else 1000
-(* Monotonic (never steps backwards with wall-clock adjustments). *)
-let now = Qsmt_util.Mclock.now
-
 let header title =
   Format.printf "@.%s@.%s@." title (String.make (String.length title) '=')
 
@@ -112,24 +110,6 @@ let success_fraction constr samples =
     (Sampleset.entries samples);
   if !total = 0 then 0. else float_of_int !good /. float_of_int !total
 
-let time_it f =
-  let t0 = now () in
-  let result = f () in
-  (result, now () -. t0)
-
-(* Wall-clock plus GC-pressure columns: minor words allocated and major
-   collections forced while [f] ran. [Gc.quick_stat] is domain-local on
-   OCaml 5, so for multi-domain sections the numbers are the
-   coordinating domain's share — a pressure signal, not a full ledger. *)
-let time_gc_it f =
-  let g0 = Gc.quick_stat () in
-  let result, dt = time_it f in
-  let g1 = Gc.quick_stat () in
-  ( result,
-    dt,
-    g1.Gc.minor_words -. g0.Gc.minor_words,
-    g1.Gc.major_collections - g0.Gc.major_collections )
-
 (* ================================================================== *)
 (* Table 1 *)
 
@@ -140,15 +120,19 @@ type table1_row = {
   paper_output : string;
 }
 
+(* Table 1, Figure 1 and the Ext-2a sampler ablation reproduce the
+   paper's pipeline, so they solve with the abstract interpreter off:
+   every row prints the paper's encoding and actually anneals, where a
+   static verdict would print an empty sample set and no matrix. *)
 let run_single constr seed =
-  let outcome = Solver.solve ~sampler:(sa_sampler ~seed) constr in
+  let outcome = Solver.solve ~sampler:(sa_sampler ~seed) ~absint:`Off constr in
   (outcome.Solver.value, outcome.Solver.satisfied, outcome.Solver.qubo)
 
 let run_pipeline pipeline seed =
   (* Benchmark pipelines are all string-valued, so a positional block is
      a bug worth failing loudly on, not a case to report. *)
   let outcomes =
-    match Solver.solve_pipeline ~sampler:(sa_sampler ~seed) pipeline with
+    match Solver.solve_pipeline ~sampler:(sa_sampler ~seed) ~absint:`Off pipeline with
     | Ok outcomes -> outcomes
     | Error { Solver.stage_index; _ } ->
       failwith (Printf.sprintf "pipeline blocked on a positional decode at stage %d" stage_index)
@@ -208,7 +192,7 @@ let table1 () =
   header "Table 1: sample string constraints (paper's evaluation)";
   List.iteri
     (fun i row ->
-      let (value, ok, qubo), dt = time_it (fun () -> row.run 1) in
+      let dt, (value, ok, qubo) = time (fun () -> row.run 1) in
       Format.printf "@.row %d: %s@." (i + 1) row.label;
       Format.printf "  matrix (abbreviated):@.";
       Format.printf "    %s@."
@@ -245,8 +229,9 @@ let figure1 () =
     "decode" "alloc" "majgc" "output";
   List.iter
     (fun constr ->
-      let (outcome, timing), _, minor_words, major_gcs =
-        time_gc_it (fun () -> Solver.solve_timed ~sampler:(sa_sampler ~seed:1) ~telemetry constr)
+      let (outcome, timing), gc =
+        with_gc (fun () ->
+            Solver.solve_timed ~sampler:(sa_sampler ~seed:1) ~absint:`Off ~telemetry constr)
       in
       Format.printf "%-55s %6d %8.1fus %8.1fms %8.1fus %7.1fMw %6d  %a@."
         (Constr.describe constr)
@@ -254,7 +239,7 @@ let figure1 () =
         (1e6 *. timing.Solver.encode_s)
         (1e3 *. timing.Solver.sample_s)
         (1e6 *. timing.Solver.decode_s)
-        (minor_words /. 1e6) major_gcs pp_val outcome.Solver.value)
+        (gc.minor_words /. 1e6) gc.major_collections pp_val outcome.Solver.value)
     cases
 
 (* ================================================================== *)
@@ -279,8 +264,8 @@ let ext1 () =
           | Error _ -> ()
           | Ok () ->
             let qubo = Compile.to_qubo constr in
-            let samples, dt =
-              time_it (fun () ->
+            let dt, samples =
+              time (fun () ->
                   Sa.sample ~params:{ Sa.default with Sa.seed = n; reads; sweeps } qubo)
             in
             Format.printf "%-14s %4d %6d %13.0f%% %8.1fms@." name n (Qubo.num_vars qubo)
@@ -329,7 +314,7 @@ let ext2_samplers () =
     (fun constr ->
       List.iter
         (fun (name, sampler) ->
-          let outcome, dt = time_it (fun () -> Solver.solve ~sampler constr) in
+          let dt, outcome = time (fun () -> Solver.solve ~sampler ~absint:`Off constr) in
           Format.printf "%-50s %-8s %10.2f %8.0f%% %8.1fms@." (Constr.describe constr) name
             (Sampleset.lowest_energy outcome.Solver.samples)
             (100. *. success_fraction constr outcome.Solver.samples)
@@ -338,7 +323,7 @@ let ext2_samplers () =
       (* exact oracle where the problem is small enough *)
       if Constr.num_vars constr <= Exact.max_vars then begin
         let qubo = Compile.to_qubo constr in
-        let (_, ground), dt = time_it (fun () -> Exact.ground_states qubo) in
+        let dt, (_, ground) = time (fun () -> Exact.ground_states qubo) in
         Format.printf "%-50s %-8s %10.2f %9s %8.1fms@." "" "exact" ground "-" (1e3 *. dt)
       end)
     suite
@@ -392,12 +377,12 @@ let ext3 () =
     (fun n ->
       let target = String.init n (fun i -> Char.chr (97 + ((i * 7) mod 26))) in
       let constr = Constr.Equals target in
-      let _, sa_t = time_it (fun () -> Solver.solve ~sampler:(sa_sampler ~seed:n) constr) in
-      let _, cdcl_t = time_it (fun () -> Strsolver.solve constr) in
+      let sa_t, _ = time (fun () -> Solver.solve ~sampler:(sa_sampler ~seed:n) constr) in
+      let cdcl_t, _ = time (fun () -> Strsolver.solve constr) in
       let brute =
         if n <= 4 then begin
-          let r, t =
-            time_it (fun () -> Brute.solve ~alphabet:lowercase ~limit:2_000_000 constr)
+          let t, r =
+            time (fun () -> Brute.solve ~alphabet:lowercase ~limit:2_000_000 constr)
           in
           match r with Some _ -> Format.asprintf "%8.1fms" (1e3 *. t) | None -> "miss"
         end
@@ -410,14 +395,14 @@ let ext3 () =
   subheader "constraints where completeness matters";
   (* CDCL proves unsat; the annealer cannot *)
   let absent = Constr.Includes { haystack = "aaaaaaa"; needle = "xyz" } in
-  let o, dt = time_it (fun () -> Strsolver.solve absent) in
+  let dt, o = time (fun () -> Strsolver.solve absent) in
   Format.printf "%-46s CDCL: %s in %.1fms (annealer: cannot prove unsat)@."
     (Constr.describe absent)
     (match o.Strsolver.result with `Unsat -> "unsat" | `Sat -> "sat" | `Unknown -> "unknown")
     (1e3 *. dt);
   (* alternation regex outside the QUBO product-form fragment *)
   let alt = Constr.Regex { pattern = Rparser.parse_exn "cat|dog"; length = 3 } in
-  let o, dt = time_it (fun () -> Strsolver.solve alt) in
+  let dt, o = time (fun () -> Strsolver.solve alt) in
   Format.printf "%-46s CDCL: %s %s in %.1fms (QUBO encoder: unsupported)@."
     (Constr.describe alt)
     (match o.Strsolver.result with `Sat -> "sat" | `Unsat -> "unsat" | `Unknown -> "unknown")
@@ -510,12 +495,12 @@ let ext5 () =
   Format.printf "%-38s %-12s %9s %10s@." "conjunction" "value" "joint-ok" "time";
   List.iter
     (fun (label, conjuncts) ->
-      match time_it (fun () -> Joint.solve ~sampler:(sa_sampler ~seed:4) conjuncts) with
-      | Ok o, dt ->
+      match time (fun () -> Joint.solve ~sampler:(sa_sampler ~seed:4) conjuncts) with
+      | dt, Ok o ->
         Format.printf "%-38s %-12S %9s %8.1fms@." label (show_string o.Joint.value)
           (if o.Joint.satisfied then "yes" else "NO")
           (1e3 *. dt)
-      | Error e, _ -> Format.printf "%-38s error: %s@." label e)
+      | _, Error e -> Format.printf "%-38s error: %s@." label e)
     cases
 
 (* ================================================================== *)
@@ -555,7 +540,7 @@ let ext7 () =
   Format.printf "%-8s %10s %10s %12s %14s@." "sampler" "p_succ" "t/read" "TTS(99%)" "residual E";
   List.iter
     (fun sampler ->
-      let samples, dt = time_it (fun () -> Sampler.run ~telemetry sampler q) in
+      let dt, samples = time (fun () -> Sampler.run ~telemetry sampler q) in
       let n_reads = Sampleset.total_reads samples in
       let time_per_read = dt /. float_of_int (max 1 n_reads) in
       let p = Metrics.success_probability samples ~ground_energy:ground () in
@@ -597,8 +582,8 @@ let ext8 () =
     (fun (label, ks) ->
       let suite = Workload.suite ~seed:77 ~kinds:ks ~max_length:5 ~count () in
       let sa_ok = ref 0 in
-      let _, sa_t =
-        time_it (fun () ->
+      let sa_t, _ =
+        time (fun () ->
             List.iter
               (fun c ->
                 let o = Solver.solve ~sampler:(sa_sampler ~seed:7) c in
@@ -606,8 +591,8 @@ let ext8 () =
               suite)
       in
       let cdcl_ok = ref 0 in
-      let _, cdcl_t =
-        time_it (fun () ->
+      let cdcl_t, _ =
+        time (fun () ->
             List.iter
               (fun c ->
                 let o = Strsolver.solve c in
@@ -649,12 +634,12 @@ let ext9 () =
     (fun (label, constr) ->
       let qubo = Compile.to_qubo constr in
       let verify bits = Constr.verify constr (Compile.decode constr bits) in
-      let _, seq_t =
-        time_it (fun () ->
+      let seq_t, _ =
+        time (fun () ->
             List.iter (fun s -> ignore (Sampler.run s qubo)) (Sampler.default_suite ~seed))
       in
-      let result, port_t =
-        time_it (fun () ->
+      let port_t, result =
+        time (fun () ->
             Portfolio.run
               ~params:
                 { Portfolio.members = Portfolio.default_members ~seed; jobs = 0; budget = Some 30. }
@@ -678,10 +663,10 @@ let ext9 () =
   subheader "solve_batch: the same six constraints, one solver call, pooled domains";
   let constrs = List.map snd workload in
   let sampler = sa_sampler ~seed in
-  let _, one_by_one_t =
-    time_it (fun () -> List.iter (fun c -> ignore (Solver.solve ~sampler c)) constrs)
+  let one_by_one_t, _ =
+    time (fun () -> List.iter (fun c -> ignore (Solver.solve ~sampler c)) constrs)
   in
-  let batched, batch_t = time_it (fun () -> Solver.solve_batch ~sampler constrs) in
+  let batch_t, batched = time (fun () -> Solver.solve_batch ~sampler constrs) in
   List.iter2
     (fun (label, _) (outcome, timing) ->
       Format.printf "  %-20s %s  sample %.1fms@." label

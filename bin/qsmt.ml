@@ -29,6 +29,7 @@ module Topology = Qsmt_anneal.Topology
 module Sqa = Qsmt_anneal.Sqa
 module Tabu = Qsmt_anneal.Tabu
 module Greedy = Qsmt_anneal.Greedy
+module Exact = Qsmt_anneal.Exact
 module Portfolio = Qsmt_anneal.Portfolio
 module Interp = Qsmt_smtlib.Interp
 module Eval = Qsmt_smtlib.Eval
@@ -51,16 +52,32 @@ open Cmdliner
 let seed_arg =
   Arg.(value & opt int 0 & info [ "seed" ] ~docv:"N" ~doc:"PRNG seed (results are deterministic per seed).")
 
-(* Counts that must be at least one: a zero or negative value is a usage
-   error at parse time (exit 124), not an exception deep in a sampler. *)
-let positive_int what =
+(* Numeric flags are range-checked at parse time: an out-of-range value
+   is a usage error (exit 124), not an exception deep in a sampler or a
+   silently reinterpreted setting. *)
+let int_at_least lo what =
   let parse s =
     match int_of_string_opt s with
-    | Some n when n >= 1 -> Ok n
-    | Some _ -> Error (`Msg (what ^ " must be >= 1"))
+    | Some n when n >= lo -> Ok n
+    | Some _ -> Error (`Msg (Printf.sprintf "%s must be >= %d" what lo))
     | None -> Error (`Msg (s ^ " is not an integer"))
   in
   Arg.conv (parse, Format.pp_print_int)
+
+let positive_int = int_at_least 1
+let natural = int_at_least 0
+
+let finite_float ~zero what =
+  let parse s =
+    match float_of_string_opt s with
+    | Some x when Float.is_finite x && (x > 0. || (zero && x = 0.)) -> Ok x
+    | Some _ ->
+      Error (`Msg (what ^ if zero then " must be finite and >= 0" else " must be finite and > 0"))
+    | None -> Error (`Msg (s ^ " is not a number"))
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
+let positive_float = finite_float ~zero:false
 
 let reads_arg =
   Arg.(
@@ -73,7 +90,9 @@ let sweeps_arg =
     & info [ "sweeps" ] ~docv:"N" ~doc:"Metropolis sweeps per read.")
 
 let domains_arg =
-  Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N" ~doc:"Parallel domains for reads.")
+  Arg.(
+    value & opt (positive_int "domains") 1
+    & info [ "domains" ] ~docv:"N" ~doc:"Parallel domains for reads.")
 
 let packed_arg =
   Arg.(
@@ -88,22 +107,13 @@ let packed_arg =
 
 let jobs_arg =
   Arg.(
-    value & opt int 0
+    value & opt (natural "jobs") 0
     & info [ "jobs" ] ~docv:"N"
         ~doc:"Concurrent portfolio members (0 = one per available core). Only meaningful with $(b,--sampler portfolio).")
 
 let budget_arg =
-  let positive_float =
-    let parse s =
-      match float_of_string_opt s with
-      | Some b when b > 0. -> Ok b
-      | Some _ -> Error (`Msg "budget must be positive")
-      | None -> Error (`Msg (s ^ " is not a number"))
-    in
-    Arg.conv (parse, Format.pp_print_float)
-  in
   Arg.(
-    value & opt (some positive_float) None
+    value & opt (some (positive_float "budget")) None
     & info [ "budget" ] ~docv:"SECONDS"
         ~doc:"Per-member wall-clock budget for the portfolio sampler; members exceeding it are cancelled cooperatively.")
 
@@ -149,7 +159,7 @@ let topology_arg =
 
 let topology_size_arg =
   Arg.(
-    value & opt int 0
+    value & opt (natural "topology-size") 0
     & info [ "topology-size" ] ~docv:"N"
         ~doc:
           "Grid parameter for $(b,--topology) (chimera m / king side / complete qubit count). 0 \
@@ -157,7 +167,7 @@ let topology_size_arg =
 
 let chain_strength_arg =
   Arg.(
-    value & opt (some float) None
+    value & opt (some (positive_float "chain-strength")) None
     & info [ "chain-strength" ] ~docv:"C"
         ~doc:
           "Starting ferromagnetic chain penalty for $(b,--sampler hardware) (default: 2 x the \
@@ -166,7 +176,7 @@ let chain_strength_arg =
 
 let noise_arg =
   Arg.(
-    value & opt float 0.
+    value & opt (finite_float ~zero:true "noise") 0.
     & info [ "noise" ] ~docv:"SIGMA"
         ~doc:
           "Gaussian control-noise std-dev on every physical coefficient, relative to the largest \
@@ -415,6 +425,14 @@ let with_telemetry ~trace ~metrics ?(metrics_out = None) ?(progress = false) ?tt
     summarize t (f t)
   | None -> f Telemetry.null
 
+(* The samplers' documented refusals: a problem past the exact
+   enumerator's variable cap (checked before [Exact] would raise a bare
+   [Invalid_argument]) and a failed hardware embedding
+   ([Hardware.Embedding_failed]). [gen] reports them as errors; [run] and
+   [repl] answer unknown for the check and carry on. Any other exception
+   still surfaces. *)
+exception Refused of string
+
 (* Callers must route [`Classical] to the CDCL bit-blasting path before
    coming here — it is a different solver family, not a sampler, and an
    earlier revision silently handed such requests to [Sampler.exact]. *)
@@ -433,7 +451,15 @@ let build_sampler kind ~seed ~reads ~sweeps ~domains ~jobs ~budget ~topology ~to
   | `Greedy ->
     ignore Greedy.default;
     Sampler.greedy ~params:{ Greedy.seed; restarts = reads; domains } ()
-  | `Exact -> Sampler.exact ()
+  | `Exact ->
+    let exact = Sampler.exact () in
+    Sampler.make ~name:"exact" (fun q ->
+        let n = Qubo.num_vars q in
+        if n > Exact.max_vars then
+          raise
+            (Refused
+               (Printf.sprintf "exact: %d variables exceed the %d-variable cap" n Exact.max_vars))
+        else Sampler.run exact q)
   | `Hardware ->
     (* Parameters are derived per problem: auto-sizing needs the compiled
        QUBO, which only exists once the constraint is encoded. *)
@@ -531,6 +557,19 @@ let classical_backend () =
             end);
   }
 
+(* The annealing SMT-LIB backend, with a sampler's refusal answering
+   unknown for that check instead of ending the script or session. *)
+let annealing_backend ~sampler ~absint ~telemetry =
+  let b = Interp.annealing_backend ~sampler ~absint ~telemetry () in
+  let guard solve query =
+    try solve query with Refused _ | Hardware.Embedding_failed _ -> `Unknown
+  in
+  {
+    b with
+    Interp.solve_generate = guard b.Interp.solve_generate;
+    solve_joint = guard b.Interp.solve_joint;
+  }
+
 (* ------------------------------------------------------------------ *)
 (* operation parsing for `gen` and `matrix` *)
 
@@ -581,6 +620,11 @@ let constraint_of_op op args =
             contains LEN SUB | includes HAY NEEDLE | indexof LEN SUB IDX | length CHARS TARGET \
             | replace-all SRC C D | replace SRC C D | reverse S | palindrome LEN | regex PAT LEN"
            op))
+
+(* An SMT-LIB script from a file, or from stdin for "-". *)
+let read_source path =
+  if path = "-" then In_channel.input_all In_channel.stdin
+  else In_channel.with_open_text path In_channel.input_all
 
 let op_arg = Arg.(required & pos 0 (some string) None & info [] ~docv:"OP" ~doc:"Operation name.")
 let op_args = Arg.(value & pos_right 0 string [] & info [] ~docv:"ARGS" ~doc:"Operation arguments.")
@@ -659,7 +703,8 @@ let gen_action op args sampler_kind seed reads sweeps domains packed jobs budget
               match
                 Solver.solve_timed ?params ~sampler ~lint:lint_level ~absint ~telemetry constr
               with
-              | exception Lint.Rejected (_, findings) -> Error findings
+              | exception Lint.Rejected (_, findings) -> Error (`Lint findings)
+              | exception (Refused m | Hardware.Embedding_failed m) -> Error (`Refused m)
               | outcome, timing -> begin
                 match outcome.Solver.decided with
                 | Some a ->
@@ -694,7 +739,10 @@ let gen_action op args sampler_kind seed reads sweeps domains packed jobs budget
               end)
         in
         match result with
-        | Error findings ->
+        | Error (`Refused m) ->
+          prerr_endline ("qsmt: sampler refused the problem: " ^ m);
+          2
+        | Error (`Lint findings) ->
           Format.eprintf "qsmt: lint gate rejected the encoding (%d error(s), %d warning(s)):@."
             (Analyze.count_severity findings Analyze.Error)
             (Analyze.count_severity findings Analyze.Warning);
@@ -728,7 +776,7 @@ let gen_cmd =
     term
 
 (* ------------------------------------------------------------------ *)
-(* lint *)
+(* lint / analyze: shared target selection and exit status *)
 
 module Smt_parser = Qsmt_smtlib.Parser
 module Smt_typecheck = Qsmt_smtlib.Typecheck
@@ -777,13 +825,98 @@ let units_of_script source =
     Ok [ (var, [ constr ]) ]
   | Smt_compile.Generate_joint { var; conjuncts } -> Ok [ (var, conjuncts) ]
 
-(* The linter inspects each compiled QUBO on its own, so it flattens the
-   units; the abstract interpreter keeps them whole — "length 2 /\
-   contains ab /\ contains ba" is only refutable jointly. *)
-let constraints_of_script source =
-  Result.map
-    (fun units -> List.concat_map (fun (var, cs) -> List.map (fun c -> (var, c)) cs) units)
-    (units_of_script source)
+type selection = {
+  op : string option;
+  args : string list;
+  table1 : bool;
+  smt2 : string option;
+  workload : int;
+  fail_on : [ `Error | `Warning | `Never ];
+  json : bool;
+}
+
+let selection_term ~verb ~smt2_doc ~json_doc =
+  let op =
+    Arg.(
+      value & pos 0 (some string) None
+      & info [] ~docv:"OP" ~doc:"Operation name (as in $(b,qsmt gen)).")
+  in
+  let table1 =
+    Arg.(value & flag & info [ "table1" ] ~doc:(verb ^ " the paper's six Table 1 constraints."))
+  in
+  let smt2 = Arg.(value & opt (some string) None & info [ "smt2" ] ~docv:"FILE" ~doc:smt2_doc) in
+  let workload =
+    Arg.(
+      value & opt (natural "workload") 0
+      & info [ "workload" ] ~docv:"N"
+          ~doc:(verb ^ " $(docv) seeded random constraints from the workload generator."))
+  in
+  let fail_on =
+    Arg.(
+      value
+      & opt (enum [ ("error", `Error); ("warning", `Warning); ("never", `Never) ]) `Error
+      & info [ "fail-on" ] ~docv:"SEVERITY"
+          ~doc:
+            "Exit 1 when any finding reaches $(docv) ($(b,error), $(b,warning), or $(b,never); \
+             default $(b,error)).")
+  in
+  let json = Arg.(value & flag & info [ "json" ] ~doc:json_doc) in
+  Term.(
+    const (fun op args table1 smt2 workload fail_on json ->
+        { op; args; table1; smt2; workload; fail_on; json })
+    $ op $ op_args $ table1 $ smt2 $ workload $ fail_on $ json)
+
+(* Each target is a name and the conjunction it stands for. [flatten]
+   splits a script's solve units into one target per conjunct: the
+   linter inspects each compiled QUBO on its own, while the abstract
+   interpreter keeps units whole — "length 2 /\ contains ab /\ contains
+   ba" is only refutable jointly. *)
+let targets ~verb ~flatten ~seed sel =
+  let single c = (Constr.describe c, [ c ]) in
+  match (sel.op, sel.table1, sel.smt2, sel.workload) with
+  | Some op, false, None, 0 -> begin
+    match constraint_of_op op sel.args with
+    | Error (`Msg m) -> Error m
+    | Ok c -> begin
+      match Constr.validate c with
+      | Error m -> Error ("invalid constraint: " ^ m)
+      | Ok () -> Ok [ single c ]
+    end
+  end
+  | None, true, None, 0 -> Ok (List.map single (table1_constraints ()))
+  | None, false, Some path, 0 -> begin
+    match units_of_script (read_source path) with
+    | Error m -> Error (path ^ ": " ^ m)
+    | Ok units ->
+      let units =
+        if flatten then List.concat_map (fun (var, cs) -> List.map (fun c -> (var, [ c ])) cs) units
+        else units
+      in
+      let describe cs = String.concat " /\\ " (List.map Constr.describe cs) in
+      Ok (List.map (fun (var, cs) -> (Printf.sprintf "%s: %s" var (describe cs), cs)) units)
+  end
+  | None, false, None, n when n > 0 ->
+    Ok (List.map single (Workload.suite ~seed ~max_length:6 ~count:n ()))
+  | None, false, None, _ ->
+    Error
+      (Printf.sprintf
+         "nothing to %s: give an operation, --table1, --smt2 FILE, or --workload N" verb)
+  | _ -> Error "choose exactly one of: an operation, --table1, --smt2 FILE, --workload N"
+
+(* 1 when the worst finding reaches --fail-on, else 0. *)
+let fail_on_status fail_on findings =
+  let threshold =
+    match fail_on with
+    | `Never -> max_int
+    | `Warning -> Analyze.severity_rank Analyze.Warning
+    | `Error -> Analyze.severity_rank Analyze.Error
+  in
+  match Analyze.max_severity findings with
+  | Some s when Analyze.severity_rank s >= threshold -> 1
+  | _ -> 0
+
+(* ------------------------------------------------------------------ *)
+(* lint *)
 
 (* Deterministic single-site damage for the mutation-detection tests:
    does the linter notice? `zero-penalty` deletes the first diagonal
@@ -809,42 +942,10 @@ let apply_mutation kind q =
         else Qubo.set b i j v);
     Qubo.freeze ~num_vars:(Qubo.num_vars q) b
 
-let lint_action op args table1 smt2 workload fail_on json chain topology topology_size
-    chain_strength seed max_enum no_soundness mutate param_assigns trace metrics =
+let lint_action sel chain topology topology_size chain_strength seed max_enum no_soundness mutate
+    param_assigns trace metrics =
   let params = params_of_assignments param_assigns in
-  let targets =
-    match (op, table1, smt2, workload) with
-    | Some op, false, None, 0 -> begin
-      match constraint_of_op op args with
-      | Error (`Msg m) -> Error m
-      | Ok c -> begin
-        match Constr.validate c with
-        | Error m -> Error ("invalid constraint: " ^ m)
-        | Ok () -> Ok [ (Constr.describe c, c) ]
-      end
-    end
-    | None, true, None, 0 ->
-      Ok (List.map (fun c -> (Constr.describe c, c)) (table1_constraints ()))
-    | None, false, Some path, 0 -> begin
-      let source =
-        if path = "-" then In_channel.input_all In_channel.stdin
-        else In_channel.with_open_text path In_channel.input_all
-      in
-      match constraints_of_script source with
-      | Error m -> Error (path ^ ": " ^ m)
-      | Ok cs ->
-        Ok (List.map (fun (var, c) -> (Printf.sprintf "%s: %s" var (Constr.describe c), c)) cs)
-    end
-    | None, false, None, n when n > 0 ->
-      Ok
-        (List.map
-           (fun c -> (Constr.describe c, c))
-           (Workload.suite ~seed ~max_length:6 ~count:n ()))
-    | None, false, None, 0 ->
-      Error "nothing to lint: give an operation, --table1, --smt2 FILE, or --workload N"
-    | _ -> Error "choose exactly one of: an operation, --table1, --smt2 FILE, --workload N"
-  in
-  match targets with
+  match targets ~verb:"lint" ~flatten:true ~seed sel with
   | Error m ->
     prerr_endline ("qsmt: " ^ m);
     2
@@ -859,80 +960,44 @@ let lint_action op args table1 smt2 workload fail_on json chain topology topolog
            else None);
       }
     in
-    let worst = ref None in
-    with_telemetry ~trace ~metrics (fun telemetry ->
-        List.iter
-          (fun (name, constr) ->
-            let q, overwrites =
-              Qubo.with_overwrite_log (fun () -> Compile.to_qubo ?params constr)
-            in
-            let q = apply_mutation mutate q in
-            let findings = Lint.lint_compiled ~config ~overwrites ~telemetry constr q in
-            (match Analyze.max_severity findings with
-            | Some s when
-                (match !worst with
-                | None -> true
-                | Some w -> Analyze.severity_rank s > Analyze.severity_rank w) ->
-              worst := Some s
-            | _ -> ());
-            let errors = Analyze.count_severity findings Analyze.Error in
-            let warnings = Analyze.count_severity findings Analyze.Warning in
-            let infos = Analyze.count_severity findings Analyze.Info in
-            if json then
-              Format.printf
-                {|{"target":"%s","errors":%d,"warnings":%d,"infos":%d,"findings":[%s]}@.|}
-                (Lint.json_escape name) errors warnings infos
-                (String.concat "," (List.map Lint.finding_to_json findings))
-            else begin
-              Format.printf "==> %s@." name;
-              List.iter (fun f -> Format.printf "  %a@." Analyze.pp_finding f) findings;
-              if findings = [] then Format.printf "  clean@."
-              else Format.printf "  %d error(s), %d warning(s), %d info(s)@." errors warnings infos
-            end)
-          targets);
-    let worst_rank =
-      match !worst with None -> -1 | Some s -> Analyze.severity_rank s
+    let findings =
+      with_telemetry ~trace ~metrics (fun telemetry ->
+          List.concat_map
+            (fun (name, cs) ->
+              List.concat_map
+                (fun constr ->
+                  let q, overwrites =
+                    Qubo.with_overwrite_log (fun () -> Compile.to_qubo ?params constr)
+                  in
+                  let q = apply_mutation mutate q in
+                  let findings = Lint.lint_compiled ~config ~overwrites ~telemetry constr q in
+                  let errors = Analyze.count_severity findings Analyze.Error in
+                  let warnings = Analyze.count_severity findings Analyze.Warning in
+                  let infos = Analyze.count_severity findings Analyze.Info in
+                  if sel.json then
+                    Format.printf
+                      {|{"target":"%s","errors":%d,"warnings":%d,"infos":%d,"findings":[%s]}@.|}
+                      (Lint.json_escape name) errors warnings infos
+                      (String.concat "," (List.map Lint.finding_to_json findings))
+                  else begin
+                    Format.printf "==> %s@." name;
+                    List.iter (fun f -> Format.printf "  %a@." Analyze.pp_finding f) findings;
+                    if findings = [] then Format.printf "  clean@."
+                    else
+                      Format.printf "  %d error(s), %d warning(s), %d info(s)@." errors warnings
+                        infos
+                  end;
+                  findings)
+                cs)
+            targets)
     in
-    let threshold =
-      match fail_on with
-      | `Never -> max_int
-      | `Warning -> Analyze.severity_rank Analyze.Warning
-      | `Error -> Analyze.severity_rank Analyze.Error
-    in
-    if worst_rank >= threshold then 1 else 0
+    fail_on_status sel.fail_on findings
 
 let lint_cmd =
-  let op =
-    Arg.(value & pos 0 (some string) None & info [] ~docv:"OP" ~doc:"Operation name (as in $(b,qsmt gen)).")
-  in
-  let table1 =
-    Arg.(value & flag & info [ "table1" ] ~doc:"Lint the paper's six Table 1 constraints.")
-  in
-  let smt2 =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "smt2" ] ~docv:"FILE"
-          ~doc:"Lint every annealer constraint an SMT-LIB script compiles to ($(b,-) for stdin).")
-  in
-  let workload =
-    Arg.(
-      value & opt int 0
-      & info [ "workload" ] ~docv:"N"
-          ~doc:"Lint $(docv) seeded random constraints from the workload generator.")
-  in
-  let fail_on =
-    Arg.(
-      value
-      & opt (enum [ ("error", `Error); ("warning", `Warning); ("never", `Never) ]) `Error
-      & info [ "fail-on" ] ~docv:"SEVERITY"
-          ~doc:"Exit 1 when any finding reaches $(docv) ($(b,error), $(b,warning), or $(b,never); default $(b,error)).")
-  in
-  let json =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:"Machine-readable output: one JSON object per linted constraint, findings inline.")
+  let selection =
+    selection_term ~verb:"Lint"
+      ~smt2_doc:"Lint every annealer constraint an SMT-LIB script compiles to ($(b,-) for stdin)."
+      ~json_doc:"Machine-readable output: one JSON object per linted constraint, findings inline."
   in
   let chain =
     Arg.(
@@ -945,7 +1010,7 @@ let lint_cmd =
   in
   let max_enum =
     Arg.(
-      value & opt int Analyze.default_config.Analyze.max_enum_vars
+      value & opt (natural "max-enum") Analyze.default_config.Analyze.max_enum_vars
       & info [ "max-enum" ] ~docv:"N"
           ~doc:
             "Exhaustive-soundness budget: enumerate the reduced residual only when it keeps at \
@@ -968,9 +1033,9 @@ let lint_cmd =
   in
   let term =
     Term.(
-      const lint_action $ op $ op_args $ table1 $ smt2 $ workload $ fail_on $ json $ chain
-      $ topology_arg $ topology_size_arg $ chain_strength_arg $ seed_arg $ max_enum
-      $ no_soundness $ mutate $ param_arg $ trace_arg $ metrics_arg)
+      const lint_action $ selection $ chain $ topology_arg $ topology_size_arg
+      $ chain_strength_arg $ seed_arg $ max_enum $ no_soundness $ mutate $ param_arg $ trace_arg
+      $ metrics_arg)
   in
   Cmd.v
     (Cmd.info "lint"
@@ -1019,131 +1084,48 @@ let analysis_to_json name (a : Absint.analysis) findings =
     a.Absint.widened errors warnings infos
     (String.concat "," (List.map Lint.finding_to_json findings))
 
-let analyze_action op args table1 smt2 workload fail_on json max_iters seed trace metrics
-    metrics_out =
-  let describe_unit cs = String.concat " /\\ " (List.map Constr.describe cs) in
-  let targets =
-    match (op, table1, smt2, workload) with
-    | Some op, false, None, 0 -> begin
-      match constraint_of_op op args with
-      | Error (`Msg m) -> Error m
-      | Ok c -> begin
-        match Constr.validate c with
-        | Error m -> Error ("invalid constraint: " ^ m)
-        | Ok () -> Ok [ (Constr.describe c, [ c ]) ]
-      end
-    end
-    | None, true, None, 0 ->
-      Ok (List.map (fun c -> (Constr.describe c, [ c ])) (table1_constraints ()))
-    | None, false, Some path, 0 -> begin
-      let source =
-        if path = "-" then In_channel.input_all In_channel.stdin
-        else In_channel.with_open_text path In_channel.input_all
-      in
-      match units_of_script source with
-      | Error m -> Error (path ^ ": " ^ m)
-      | Ok units ->
-        Ok
-          (List.map
-             (fun (var, cs) -> (Printf.sprintf "%s: %s" var (describe_unit cs), cs))
-             units)
-    end
-    | None, false, None, n when n > 0 ->
-      Ok
-        (List.map
-           (fun c -> (Constr.describe c, [ c ]))
-           (Workload.suite ~seed ~max_length:6 ~count:n ()))
-    | None, false, None, 0 ->
-      Error "nothing to analyze: give an operation, --table1, --smt2 FILE, or --workload N"
-    | _ -> Error "choose exactly one of: an operation, --table1, --smt2 FILE, --workload N"
-  in
-  match targets with
+let analyze_action sel max_iters seed trace metrics metrics_out =
+  match targets ~verb:"analyze" ~flatten:false ~seed sel with
   | Error m ->
     prerr_endline ("qsmt: " ^ m);
     2
   | Ok targets ->
-    let worst = ref None in
     let failed = ref false in
-    with_telemetry ~trace ~metrics ~metrics_out (fun telemetry ->
-        List.iter
-          (fun (name, cs) ->
-            match Absint.analyze ~max_iters cs with
-            | Error m ->
-              failed := true;
-              Format.eprintf "qsmt: %s: not analyzable (%s)@." name m
-            | Ok a ->
-              Absint.emit telemetry a;
-              let findings = Absint.findings a in
-              (match Analyze.max_severity findings with
-              | Some s when
-                  (match !worst with
-                  | None -> true
-                  | Some w -> Analyze.severity_rank s > Analyze.severity_rank w) ->
-                worst := Some s
-              | _ -> ());
-              if json then print_endline (analysis_to_json name a findings)
-              else begin
-                Format.printf "==> %s@." name;
-                Format.printf "  %a@." Absint.pp a;
-                List.iter (fun f -> Format.printf "  %a@." Analyze.pp_finding f) findings
-              end)
-          targets);
-    if !failed then 2
-    else begin
-      let worst_rank =
-        match !worst with None -> -1 | Some s -> Analyze.severity_rank s
-      in
-      let threshold =
-        match fail_on with
-        | `Never -> max_int
-        | `Warning -> Analyze.severity_rank Analyze.Warning
-        | `Error -> Analyze.severity_rank Analyze.Error
-      in
-      if worst_rank >= threshold then 1 else 0
-    end
+    let findings =
+      with_telemetry ~trace ~metrics ~metrics_out (fun telemetry ->
+          List.concat_map
+            (fun (name, cs) ->
+              match Absint.analyze ~max_iters cs with
+              | Error m ->
+                failed := true;
+                Format.eprintf "qsmt: %s: not analyzable (%s)@." name m;
+                []
+              | Ok a ->
+                Absint.emit telemetry a;
+                let findings = Absint.findings a in
+                if sel.json then print_endline (analysis_to_json name a findings)
+                else begin
+                  Format.printf "==> %s@." name;
+                  Format.printf "  %a@." Absint.pp a;
+                  List.iter (fun f -> Format.printf "  %a@." Analyze.pp_finding f) findings
+                end;
+                findings)
+            targets)
+    in
+    if !failed then 2 else fail_on_status sel.fail_on findings
 
 let analyze_cmd =
-  let op =
-    Arg.(value & pos 0 (some string) None & info [] ~docv:"OP" ~doc:"Operation name (as in $(b,qsmt gen)).")
-  in
-  let table1 =
-    Arg.(value & flag & info [ "table1" ] ~doc:"Analyze the paper's six Table 1 constraints.")
-  in
-  let smt2 =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "smt2" ] ~docv:"FILE"
-          ~doc:
-            "Analyze every solve unit of an SMT-LIB script as one conjunction ($(b,-) for \
-             stdin).")
-  in
-  let workload =
-    Arg.(
-      value & opt int 0
-      & info [ "workload" ] ~docv:"N"
-          ~doc:"Analyze $(docv) seeded random constraints from the workload generator.")
-  in
-  let fail_on =
-    Arg.(
-      value
-      & opt (enum [ ("error", `Error); ("warning", `Warning); ("never", `Never) ]) `Error
-      & info [ "fail-on" ] ~docv:"SEVERITY"
-          ~doc:
-            "Exit 1 when any finding reaches $(docv) ($(b,error), $(b,warning), or $(b,never); \
-             default $(b,error)). A static contradiction is an $(b,error) finding.")
-  in
-  let json =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:
-            "Machine-readable output: one JSON object per analyzed conjunction — verdict, \
-             fixpoint stats, forced-bit counts, findings inline.")
+  let selection =
+    selection_term ~verb:"Analyze"
+      ~smt2_doc:
+        "Analyze every solve unit of an SMT-LIB script as one conjunction ($(b,-) for stdin)."
+      ~json_doc:
+        "Machine-readable output: one JSON object per analyzed conjunction — verdict, fixpoint \
+         stats, forced-bit counts, findings inline."
   in
   let max_iters =
     Arg.(
-      value & opt int Absint.default_max_iters
+      value & opt (natural "max-iters") Absint.default_max_iters
       & info [ "max-iters" ] ~docv:"N"
           ~doc:
             "Widening cap on fixpoint iterations; analyses stopped by the cap keep their (sound) \
@@ -1151,8 +1133,8 @@ let analyze_cmd =
   in
   let term =
     Term.(
-      const analyze_action $ op $ op_args $ table1 $ smt2 $ workload $ fail_on $ json
-      $ max_iters $ seed_arg $ trace_arg $ metrics_arg $ metrics_out_arg)
+      const analyze_action $ selection $ max_iters $ seed_arg $ trace_arg $ metrics_arg
+      $ metrics_out_arg)
   in
   Cmd.v
     (Cmd.info "analyze"
@@ -1215,10 +1197,7 @@ let matrix_cmd =
 let run_action path sampler_kind seed reads sweeps domains packed jobs budget topology
     topology_size chain_strength noise decompose subsize no_absint trace metrics metrics_out
     progress =
-  let source =
-    if path = "-" then In_channel.input_all In_channel.stdin
-    else In_channel.with_open_text path In_channel.input_all
-  in
+  let source = read_source path in
   let absint = if no_absint then `Off else `On in
   let result =
     with_telemetry ~trace ~metrics ~metrics_out ~progress (fun telemetry ->
@@ -1229,7 +1208,8 @@ let run_action path sampler_kind seed reads sweeps domains packed jobs budget to
             build_sampler sampler_kind ~seed ~reads ~sweeps ~domains ~jobs ~budget ~topology
               ~topology_size ~chain_strength ~noise ~packed ~decompose ~subsize
           in
-          Interp.run_string ~sampler ~absint ~telemetry source)
+          Interp.run_string ~backend:(annealing_backend ~sampler ~absint ~telemetry) ~telemetry
+            source)
   in
   match result with
   | Ok lines ->
@@ -1270,7 +1250,8 @@ let repl_action sampler_kind seed reads sweeps domains packed jobs budget topolo
         build_sampler sampler_kind ~seed ~reads ~sweeps ~domains ~jobs ~budget ~topology
           ~topology_size ~chain_strength ~noise ~packed ~decompose ~subsize
       in
-      Interp.create ~sampler ~absint:(if no_absint then `Off else `On) ()
+      let absint = if no_absint then `Off else `On in
+      Interp.create ~backend:(annealing_backend ~sampler ~absint ~telemetry:Telemetry.null) ()
   in
   let stop = ref None in
   let exec_chunk chunk =

@@ -1009,6 +1009,11 @@ let rec json_to_buf buf = function
       members;
     Buffer.add_char buf '}'
 
+let json_to_string v =
+  let buf = Buffer.create 256 in
+  json_to_buf buf v;
+  Buffer.contents buf
+
 (* Converts a JSONL trace to Chrome trace-event format (the JSON
    Perfetto / chrome://tracing load). Spans become "X" complete events;
    concurrency is made visible by assigning each span a lane ("tid"):

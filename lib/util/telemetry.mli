@@ -221,6 +221,12 @@ val parse_json : string -> (json, string) result
     trace validator and whole-file by the benches to read their committed
     [BENCH_*.json] baselines back without an external JSON dependency. *)
 
+val json_to_string : json -> string
+(** Compact one-line rendering that {!parse_json} reads back: integral
+    numbers below 1e15 print without a fraction, other finite numbers
+    with 9 significant digits, non-finite numbers as [null]. The bench
+    ledger writes its [BENCH_*.json] files with it. *)
+
 val validate_jsonl : in_channel -> (int, string) result
 (** Reads a trace produced by a {!jsonl} handle and checks the contract:
     every non-empty line is a well-formed JSON object with a string
