@@ -41,7 +41,6 @@ module Tabu = Qsmt_anneal.Tabu
 module Greedy = Qsmt_anneal.Greedy
 module Exact = Qsmt_anneal.Exact
 module Pt = Qsmt_anneal.Pt
-module Portfolio = Qsmt_anneal.Portfolio
 module Metrics = Qsmt_anneal.Metrics
 module Spinglass = Qsmt_anneal.Spinglass
 module Convergence = Qsmt_anneal.Convergence
@@ -188,29 +187,36 @@ let table1_rows =
     };
   ]
 
+(* Prints the table and returns the deterministic checks; main exits
+   non-zero if any of them mismatched. *)
 let table1 () =
   header "Table 1: sample string constraints (paper's evaluation)";
-  List.iteri
-    (fun i row ->
-      let dt, (value, ok, qubo) = time (fun () -> row.run 1) in
-      Format.printf "@.row %d: %s@." (i + 1) row.label;
-      Format.printf "  matrix (abbreviated):@.";
-      Format.printf "    %s@."
-        (String.concat "\n    "
-           (String.split_on_char '\n' (Qubo_print.dense_string ~max_dim:6 qubo)));
-      Format.printf "  paper output : %s@." row.paper_output;
-      Format.printf "  our output   : %a  [%s, %.0f ms]@." pp_val value
-        (if ok then "verified" else "NOT SATISFIED")
-        (1e3 *. dt);
-      match row.expected with
-      | Some want ->
-        let got =
-          match value with Constr.Str s -> show_string s | _ -> Format.asprintf "%a" pp_val value
-        in
-        Format.printf "  deterministic check: expected %S, got %S -> %s@." want got
-          (if want = got then "MATCH" else "MISMATCH")
-      | None -> ())
-    table1_rows
+  List.concat
+    (List.mapi
+       (fun i row ->
+         let dt, (value, ok, qubo) = time (fun () -> row.run 1) in
+         Format.printf "@.row %d: %s@." (i + 1) row.label;
+         Format.printf "  matrix (abbreviated):@.";
+         Format.printf "    %s@."
+           (String.concat "\n    "
+              (String.split_on_char '\n' (Qubo_print.dense_string ~max_dim:6 qubo)));
+         Format.printf "  paper output : %s@." row.paper_output;
+         Format.printf "  our output   : %a  [%s, %.0f ms]@." pp_val value
+           (if ok then "verified" else "NOT SATISFIED")
+           (1e3 *. dt);
+         match row.expected with
+         | Some want ->
+           let got =
+             match value with
+             | Constr.Str s -> show_string s
+             | _ -> Format.asprintf "%a" pp_val value
+           in
+           let c = table1_check ~label:row.label ~want ~got in
+           Format.printf "  deterministic check: expected %S, got %S -> %s@." want got
+             (if c.ok then "MATCH" else "MISMATCH");
+           [ c ]
+         | None -> [])
+       table1_rows)
 
 (* ================================================================== *)
 (* Figure 1 *)
@@ -640,22 +646,19 @@ let ext9 () =
       in
       let port_t, result =
         time (fun () ->
-            Portfolio.run
-              ~params:
-                { Portfolio.members = Portfolio.default_members ~seed; jobs = 0; budget = Some 30. }
-              ~verify qubo)
+            Sampler.race ~budget:30. ~verify (Sampler.default_suite ~seed) qubo)
       in
       let cancelled =
-        List.length (List.filter (fun r -> r.Portfolio.cancelled) result.Portfolio.reports)
+        List.length (List.filter (fun r -> r.Sampler.cancelled) result.Sampler.reports)
       in
       total_seq := !total_seq +. seq_t;
       total_port := !total_port +. port_t;
       Format.printf "%-20s %10.1fms %10.1fms %7.1fx %9s %8d/%d@." label (1e3 *. seq_t)
         (1e3 *. port_t)
         (seq_t /. port_t)
-        (match result.Portfolio.winner with Some (name, _) -> name | None -> "-")
+        (match result.Sampler.winner with Some (name, _) -> name | None -> "-")
         cancelled
-        (List.length result.Portfolio.reports))
+        (List.length result.Sampler.reports))
     workload;
   Format.printf "%-20s %10.1fms %10.1fms %7.1fx@." "TOTAL" (1e3 *. !total_seq)
     (1e3 *. !total_port)
@@ -775,7 +778,7 @@ let () =
   Format.printf "qsmt benchmark harness%s (reads=%d, sweeps=%d, seeds fixed)@."
     (if fast then " [FAST]" else "")
     reads sweeps;
-  table1 ();
+  let table1_checks = table1 () in
   figure1 ();
   ext1 ();
   header "Ext-2: encoding and sampler ablations";
@@ -794,4 +797,9 @@ let () =
   (match trace_path with
   | Some path -> Format.printf "@.telemetry trace written to %s@." path
   | None -> ());
-  Format.printf "@.total wall clock: %.1f s@." (now () -. t0)
+  Format.printf "@.total wall clock: %.1f s@." (now () -. t0);
+  match List.filter (fun c -> not c.ok) table1_checks with
+  | [] -> ()
+  | failed ->
+    List.iter (fun c -> prerr_endline ("Table 1 MISMATCH: " ^ c.what)) failed;
+    exit 1

@@ -33,16 +33,17 @@ let best_of ?(reps = 3) f =
 
 type gc = { minor_words : float; major_collections : int }
 
-(* GC pressure while [f] ran. [Gc.quick_stat] is domain-local on OCaml 5:
-   exact for single-domain sections, the coordinating domain's share
-   otherwise — a pressure signal, not a full ledger. *)
+(* GC pressure while [f] ran, on the calling domain (exact for
+   single-domain sections, the coordinating domain's share otherwise).
+   Minor words come from [Gc.minor_words]: [Gc.quick_stat]'s figure only
+   moves when a minor collection runs. *)
 let with_gc f =
-  let g0 = Gc.quick_stat () in
+  let g0 = Gc.quick_stat () and w0 = Gc.minor_words () in
   let r = f () in
   let g1 = Gc.quick_stat () in
   ( r,
     {
-      minor_words = g1.Gc.minor_words -. g0.Gc.minor_words;
+      minor_words = Gc.minor_words () -. w0;
       major_collections = g1.Gc.major_collections - g0.Gc.major_collections;
     } )
 
@@ -218,6 +219,10 @@ let decompose_gate doc ~baseline =
             (Option.value ~default:[] (list_opt [ "instances" ] base))
       in
       stitching @ acceptance @ trajectory)
+
+(* Table 1 reproduction (bench/main.exe): a row whose output the paper's
+   encoding forces classically must reproduce it exactly. *)
+let table1_check ~label ~want ~got = check (want = got) "%s: expected %S, got %S" label want got
 
 (* Absint shrink (BENCH_10): the aggregate logical-variable reduction
    over the corpus stays >= 15%, and every row is satisfied or proven

@@ -30,7 +30,6 @@ module Sqa = Qsmt_anneal.Sqa
 module Tabu = Qsmt_anneal.Tabu
 module Greedy = Qsmt_anneal.Greedy
 module Exact = Qsmt_anneal.Exact
-module Portfolio = Qsmt_anneal.Portfolio
 module Interp = Qsmt_smtlib.Interp
 module Eval = Qsmt_smtlib.Eval
 module Ast = Qsmt_smtlib.Ast
@@ -109,7 +108,9 @@ let jobs_arg =
   Arg.(
     value & opt (natural "jobs") 0
     & info [ "jobs" ] ~docv:"N"
-        ~doc:"Concurrent portfolio members (0 = one per available core). Only meaningful with $(b,--sampler portfolio).")
+        ~doc:
+          "Concurrency: portfolio members raced at once with $(b,--sampler portfolio), and shards \
+           solved at once with $(b,--decompose) (0 = one per available core). Ignored otherwise.")
 
 let budget_arg =
   Arg.(
@@ -433,66 +434,84 @@ let with_telemetry ~trace ~metrics ?(metrics_out = None) ?(progress = false) ?tt
    still surfaces. *)
 exception Refused of string
 
-(* Callers must route [`Classical] to the CDCL bit-blasting path before
-   coming here — it is a different solver family, not a sampler, and an
-   earlier revision silently handed such requests to [Sampler.exact]. *)
-let build_sampler kind ~seed ~reads ~sweeps ~domains ~jobs ~budget ~topology ~topology_size
-    ~chain_strength ~noise ~packed ~decompose ~subsize =
-  let base =
-    match kind with
+(* The solver backend gen, run and repl share, parsed from one set of
+   flags: CDCL bit-blasting, or a sampler plus the absint setting. *)
+type backend = Classical | Annealing of { sampler : Sampler.t; absint : Absint.gate }
+
+let backend_term =
+  let open Term.Syntax in
+  let+ kind = sampler_arg
+  and+ seed = seed_arg
+  and+ reads = reads_arg
+  and+ sweeps = sweeps_arg
+  and+ domains = domains_arg
+  and+ packed = packed_arg
+  and+ jobs = jobs_arg
+  and+ budget = budget_arg
+  and+ topology = topology_arg
+  and+ topology_size = topology_size_arg
+  and+ chain_strength = chain_strength_arg
+  and+ noise = noise_arg
+  and+ decompose = decompose_arg
+  and+ subsize = subsize_arg
+  and+ no_absint = no_absint_arg in
+  let sa = { Sa.default with Sa.seed; reads; sweeps; domains } in
+  let annealing base =
+    let sampler =
+      if decompose then
+        Sampler.decomposed
+          ~params:{ Qsmt_qubo.Decompose.default with Qsmt_qubo.Decompose.subsize; jobs; seed }
+          base
+      else base
+    in
+    Annealing { sampler; absint = (if no_absint then `Off else `On) }
+  in
+  match kind with
+  | `Classical -> Classical
   | `Sa ->
-    let params = { Sa.default with Sa.seed; reads; sweeps; domains } in
-    if packed then Sampler.simulated_annealing_packed ~params ()
-    else Sampler.simulated_annealing ~params ()
+    annealing
+      (if packed then Sampler.simulated_annealing_packed ~params:sa ()
+       else Sampler.simulated_annealing ~params:sa ())
   | `Sqa ->
-    Sampler.simulated_quantum_annealing
-      ~params:{ Sqa.default with Sqa.seed; sweeps = max 1 (sweeps / 2); reads; domains } ()
-  | `Tabu -> Sampler.tabu ~params:{ Tabu.default with Tabu.seed; restarts = reads; iterations = sweeps } ()
-  | `Greedy ->
-    ignore Greedy.default;
-    Sampler.greedy ~params:{ Greedy.seed; restarts = reads; domains } ()
+    annealing
+      (Sampler.simulated_quantum_annealing
+         ~params:{ Sqa.default with Sqa.seed; sweeps = max 1 (sweeps / 2); reads; domains } ())
+  | `Tabu ->
+    annealing
+      (Sampler.tabu ~params:{ Tabu.default with Tabu.seed; restarts = reads; iterations = sweeps } ())
+  | `Greedy -> annealing (Sampler.greedy ~params:{ Greedy.seed; restarts = reads; domains } ())
   | `Exact ->
     let exact = Sampler.exact () in
-    Sampler.make ~name:"exact" (fun q ->
-        let n = Qubo.num_vars q in
-        if n > Exact.max_vars then
-          raise
-            (Refused
-               (Printf.sprintf "exact: %d variables exceed the %d-variable cap" n Exact.max_vars))
-        else Sampler.run exact q)
+    annealing
+      (Sampler.make ~name:"exact" (fun q ->
+           let n = Qubo.num_vars q in
+           if n > Exact.max_vars then
+             raise
+               (Refused
+                  (Printf.sprintf "exact: %d variables exceed the %d-variable cap" n Exact.max_vars))
+           else Sampler.run exact q))
   | `Hardware ->
     (* Parameters are derived per problem: auto-sizing needs the compiled
        QUBO, which only exists once the constraint is encoded. *)
-    Sampler.hardware_auto (fun q ->
-        let topology =
-          if topology_size > 0 then
-            match topology with
-            | `Chimera -> Topology.chimera ~m:topology_size ()
-            | `King -> Topology.king ~rows:topology_size ~cols:topology_size
-            | `Complete -> Topology.complete topology_size
-          else Hardware.auto_topology ~seed ~kind:topology q
-        in
-        { (Hardware.default_params topology) with
-          Hardware.chain_strength;
-          noise_sigma = noise;
-          anneal = { Sa.default with Sa.seed; reads; sweeps; domains } })
+    annealing
+      (Sampler.hardware_auto (fun q ->
+           let topology =
+             if topology_size > 0 then
+               match topology with
+               | `Chimera -> Topology.chimera ~m:topology_size ()
+               | `King -> Topology.king ~rows:topology_size ~cols:topology_size
+               | `Complete -> Topology.complete topology_size
+             else Hardware.auto_topology ~seed ~kind:topology q
+           in
+           { (Hardware.default_params topology) with
+             Hardware.chain_strength;
+             noise_sigma = noise;
+             anneal = sa }))
   | `Portfolio ->
-    let members = Portfolio.default_members ~seed in
-    let members =
-      (* The packed racer takes the reads knob (it shines at high read
-         counts); like every member its internal parallelism stays off. *)
-      if packed then
-        members @ [ Portfolio.M_sa_packed { Sa.default with Sa.seed; reads; sweeps; domains = 1 } ]
-      else members
-    in
-    Sampler.portfolio ~params:{ Portfolio.members; jobs; budget } ()
-  | `Classical -> invalid_arg "build_sampler: classical is not a sampler"
-  in
-  if decompose then
-    Sampler.decomposed
-      ~params:{ Qsmt_qubo.Decompose.default with Qsmt_qubo.Decompose.subsize; jobs; seed }
-      base
-  else base
+    (* The packed racer takes the reads knob (it shines at high read
+       counts). *)
+    let packed = if packed then [ Sampler.simulated_annealing_packed ~params:sa () ] else [] in
+    annealing (Sampler.portfolio ~members:(Sampler.default_suite ~seed @ packed) ~jobs ?budget ())
 
 (* CDCL bit-blasting as an SMT-LIB theory backend: complete on the
    supported fragment, so (unlike the samplers) it may answer `Unsat.
@@ -557,18 +576,21 @@ let classical_backend () =
             end);
   }
 
-(* The annealing SMT-LIB backend, with a sampler's refusal answering
-   unknown for that check instead of ending the script or session. *)
-let annealing_backend ~sampler ~absint ~telemetry =
-  let b = Interp.annealing_backend ~sampler ~absint ~telemetry () in
-  let guard solve query =
-    try solve query with Refused _ | Hardware.Embedding_failed _ -> `Unknown
-  in
-  {
-    b with
-    Interp.solve_generate = guard b.Interp.solve_generate;
-    solve_joint = guard b.Interp.solve_joint;
-  }
+(* The SMT-LIB theory backend run and repl share. A sampler's refusal
+   answers unknown for that check instead of ending the script or
+   session. *)
+let interp_backend ~telemetry = function
+  | Classical -> classical_backend ()
+  | Annealing { sampler; absint } ->
+    let b = Interp.annealing_backend ~sampler ~absint ~telemetry () in
+    let guard solve query =
+      try solve query with Refused _ | Hardware.Embedding_failed _ -> `Unknown
+    in
+    {
+      b with
+      Interp.solve_generate = guard b.Interp.solve_generate;
+      solve_joint = guard b.Interp.solve_joint;
+    }
 
 (* ------------------------------------------------------------------ *)
 (* operation parsing for `gen` and `matrix` *)
@@ -662,9 +684,7 @@ let absint_summary ppf (a : Absint.analysis) =
   Format.fprintf ppf "%s — %d iteration(s), %d fact(s), %d/%d position(s) fixed" verdict
     a.Absint.iterations a.Absint.facts (Absint.num_fixed_positions a) a.Absint.length
 
-let gen_action op args sampler_kind seed reads sweeps domains packed jobs budget topology
-    topology_size chain_strength noise decompose subsize show_matrix param_assigns lint_level
-    no_absint trace metrics metrics_out =
+let gen_action op args backend show_matrix param_assigns lint_level trace metrics metrics_out =
   let params = params_of_assignments param_assigns in
   match constraint_of_op op args with
   | Error (`Msg m) ->
@@ -677,7 +697,8 @@ let gen_action op args sampler_kind seed reads sweeps domains packed jobs budget
       2
     | Ok () ->
       Format.printf "constraint: %s@." (Constr.describe constr);
-      if sampler_kind = `Classical then begin
+      match backend with
+      | Classical ->
         let o = Strsolver.solve constr in
         (match o.Strsolver.result with
         | `Sat ->
@@ -689,13 +710,7 @@ let gen_action op args sampler_kind seed reads sweeps domains packed jobs budget
         | `Unsat -> Format.printf "result    : unsat@."
         | `Unknown -> Format.printf "result    : unknown (budget)@.");
         if o.Strsolver.satisfied || o.Strsolver.result = `Unsat then 0 else 1
-      end
-      else begin
-        let sampler =
-          build_sampler sampler_kind ~seed ~reads ~sweeps ~domains ~jobs ~budget ~topology
-            ~topology_size ~chain_strength ~noise ~packed ~decompose ~subsize
-        in
-        let absint = if no_absint then `Off else `On in
+      | Annealing { sampler; absint } -> begin
         let result =
           with_telemetry ~trace ~metrics ~metrics_out
             ~tts_of:(function Ok r -> gen_tts r | Error _ -> None)
@@ -758,10 +773,8 @@ let gen_cmd =
   in
   let term =
     Term.(
-      const gen_action $ op_arg $ op_args $ sampler_arg $ seed_arg $ reads_arg $ sweeps_arg
-      $ domains_arg $ packed_arg $ jobs_arg $ budget_arg $ topology_arg $ topology_size_arg
-      $ chain_strength_arg $ noise_arg $ decompose_arg $ subsize_arg $ show_matrix $ param_arg
-      $ lint_level_arg $ no_absint_arg $ trace_arg $ metrics_arg $ metrics_out_arg)
+      const gen_action $ op_arg $ op_args $ backend_term $ show_matrix $ param_arg
+      $ lint_level_arg $ trace_arg $ metrics_arg $ metrics_out_arg)
   in
   Cmd.v
     (Cmd.info "gen" ~doc:"Generate a string (or position) satisfying one operation."
@@ -1194,22 +1207,11 @@ let matrix_cmd =
 (* ------------------------------------------------------------------ *)
 (* run *)
 
-let run_action path sampler_kind seed reads sweeps domains packed jobs budget topology
-    topology_size chain_strength noise decompose subsize no_absint trace metrics metrics_out
-    progress =
+let run_action path backend trace metrics metrics_out progress =
   let source = read_source path in
-  let absint = if no_absint then `Off else `On in
   let result =
     with_telemetry ~trace ~metrics ~metrics_out ~progress (fun telemetry ->
-        match sampler_kind with
-        | `Classical -> Interp.run_string ~backend:(classical_backend ()) ~telemetry source
-        | _ ->
-          let sampler =
-            build_sampler sampler_kind ~seed ~reads ~sweeps ~domains ~jobs ~budget ~topology
-              ~topology_size ~chain_strength ~noise ~packed ~decompose ~subsize
-          in
-          Interp.run_string ~backend:(annealing_backend ~sampler ~absint ~telemetry) ~telemetry
-            source)
+        Interp.run_string ~backend:(interp_backend ~telemetry backend) ~telemetry source)
   in
   match result with
   | Ok lines ->
@@ -1226,10 +1228,8 @@ let run_cmd =
   Cmd.v
     (Cmd.info "run" ~doc:"Execute an SMT-LIB script (QF_S generative fragment).")
     Term.(
-      const run_action $ path $ sampler_arg $ seed_arg $ reads_arg $ sweeps_arg $ domains_arg
-      $ packed_arg $ jobs_arg $ budget_arg $ topology_arg $ topology_size_arg $ chain_strength_arg
-      $ noise_arg $ decompose_arg $ subsize_arg $ no_absint_arg $ trace_arg $ metrics_arg
-      $ metrics_out_arg $ progress_arg)
+      const run_action $ path $ backend_term $ trace_arg $ metrics_arg $ metrics_out_arg
+      $ progress_arg)
 
 (* ------------------------------------------------------------------ *)
 (* repl *)
@@ -1240,19 +1240,8 @@ let run_cmd =
    with its encode cache, warm starts and learned clauses — across
    commands, and recovers from errors instead of aborting the way
    `qsmt run` does. *)
-let repl_action sampler_kind seed reads sweeps domains packed jobs budget topology
-    topology_size chain_strength noise decompose subsize no_absint =
-  let st =
-    match sampler_kind with
-    | `Classical -> Interp.create ~backend:(classical_backend ()) ()
-    | _ ->
-      let sampler =
-        build_sampler sampler_kind ~seed ~reads ~sweeps ~domains ~jobs ~budget ~topology
-          ~topology_size ~chain_strength ~noise ~packed ~decompose ~subsize
-      in
-      let absint = if no_absint then `Off else `On in
-      Interp.create ~backend:(annealing_backend ~sampler ~absint ~telemetry:Telemetry.null) ()
-  in
+let repl_action backend =
+  let st = Interp.create ~backend:(interp_backend ~telemetry:Telemetry.null backend) () in
   let stop = ref None in
   let exec_chunk chunk =
     match Parser.parse_script chunk with
@@ -1348,9 +1337,7 @@ let repl_cmd =
               4))(check-sat)(get-model)(exit)' | qsmt repl";
          ])
     Term.(
-      const repl_action $ sampler_arg $ seed_arg $ reads_arg $ sweeps_arg $ domains_arg
-      $ packed_arg $ jobs_arg $ budget_arg $ topology_arg $ topology_size_arg $ chain_strength_arg
-      $ noise_arg $ decompose_arg $ subsize_arg $ no_absint_arg)
+      const repl_action $ backend_term)
 
 (* ------------------------------------------------------------------ *)
 (* export *)

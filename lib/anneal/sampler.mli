@@ -20,11 +20,13 @@ val run :
     {!Hardware.Embedding_failed}, {!Exact}'s size cap).
 
     [verify] by itself is consumed only by {!portfolio} samplers (see
-    {!Portfolio.run}); every other sampler ignores it, keeping their
-    output deterministic. With [early_exit] (default [false]) the
-    heuristic samplers (SA, SQA, PT, tabu, greedy) additionally stop at
-    their next poll point once any read verifies — the incremental
-    solver's warm re-solves opt in, cold solves keep the exhaustive
+    {!race}); every other sampler ignores it, keeping their output
+    deterministic. With [early_exit] (default [false]) every sampler that
+    reports its reads (SA, packed SA, SQA, PT, tabu, greedy and hardware,
+    also as a {!decomposed} sampler's fitting-problem fallback) stops at
+    its next poll point once any read verifies — exactly the hook a
+    portfolio member gets, minus the shared cancellation. The incremental
+    solver's warm re-solves opt in; cold solves keep the exhaustive
     deterministic sample sets.
 
     [init] seeds the first read/restart of the heuristic samplers with
@@ -78,10 +80,12 @@ val hardware_auto : (Qsmt_qubo.Qubo.t -> Hardware.params) -> t
     time — what the CLI uses so one [--sampler hardware] flag serves
     problems of any size. *)
 
-val portfolio : ?params:Portfolio.params -> unit -> t
-(** Races several samplers concurrently and merges their sample sets;
-    honors {!run}'s [verify] for early exit. Use {!Portfolio.run}
-    directly when you need per-member reports. *)
+val portfolio : ?members:t list -> ?jobs:int -> ?budget:float -> unit -> t
+(** A sampler that {!race}s [members] (default {!default_suite}
+    [~seed:0]) with the given [jobs] (default [0]) and [budget] and
+    returns the merged sample set; honors {!run}'s [verify] for early
+    exit. {!with_seed} reseeds every member. Call {!race} directly when
+    you need the per-member reports. *)
 
 val decomposed : ?params:Qsmt_qubo.Decompose.params -> t -> t
 (** [decomposed ~params inner] solves through
@@ -114,3 +118,73 @@ val default_suite : seed:int -> t list
 (** The ablation suite: SA, SQA, parallel tempering, tabu, greedy —
     everything that scales past {!Exact.max_vars} — with matching
     seeds. *)
+
+(** {1 Racing samplers}
+
+    No single heuristic dominates across QUBO instances (Oshiyama &
+    Ohzeki's benchmark), so instead of betting on one sampler a portfolio
+    races several concurrently over the shared
+    {!Qsmt_util.Parallel.Pool} and merges their sample sets. When the
+    caller supplies a [verify] predicate (the string-theory solver passes
+    its constraint checker on decoded bits), the first read that verifies
+    wins: a shared stop flag trips and every other member cancels
+    cooperatively at its next poll point, so time-to-solution is the
+    fastest member's, not the slowest's. A per-member wall-clock [budget]
+    bounds each member independently, so one slow member (e.g. {!exact}
+    on a 30-variable problem) cannot hang the race past its deadline. *)
+
+type member_report = {
+  member_name : string;  (** the member's {!name} *)
+  samples : Sampleset.t;  (** possibly empty if cancelled before any read *)
+  elapsed : float;  (** wall-clock seconds this member ran *)
+  cancelled : bool;  (** stopped early (win elsewhere or budget) *)
+  failed : string option;
+      (** exception text if the member (or the verify scan over its
+          samples) raised — a crashed member never aborts the race, it
+          surfaces here while the survivors keep running, and each
+          failure bumps the [portfolio.member_failed] counter *)
+  hardware : Hardware.stats option;
+      (** chain/embedding diagnostics, for {!hardware} members only *)
+}
+
+type race_result = {
+  merged : Sampleset.t;  (** all members' samples, re-aggregated *)
+  winner : (string * Qsmt_util.Bitvec.t) option;
+      (** first verified (member, bits), if [verify] was given and hit *)
+  reports : member_report list;  (** one per member, in member order *)
+  wall_time : float;
+}
+
+val race :
+  ?jobs:int ->
+  ?budget:float ->
+  ?init:Qsmt_util.Bitvec.t ->
+  ?verify:(Qsmt_util.Bitvec.t -> bool) ->
+  ?telemetry:Qsmt_util.Telemetry.t ->
+  t list ->
+  Qsmt_qubo.Qubo.t ->
+  race_result
+(** Races the members, at most [jobs] at a time ([<= 0], the default,
+    means {!Qsmt_util.Parallel.recommended_domains}); [budget] is the
+    per-member wall-clock budget in seconds (default unbounded). Members
+    run with their internal read parallelism off ([domains = 1]): the
+    race spends its concurrency across members, not within them. Each
+    member is run exactly as {!run} would run it, with the race's own
+    stop and read hooks. [init] warm-starts the first read/restart of
+    every heuristic member (ignored by exact and hardware members); see
+    {!Sa.sample}. Without [verify] (and with no budget) every member runs
+    to completion and [merged] is deterministic — a pure function of the
+    members, independent of [jobs]. With [verify], member sample sets may
+    be truncated by early exit, but [merged] always contains the winning
+    read.
+
+    [telemetry] is shared with every member (their sweep streams and
+    counters interleave in the trace) and additionally records the member
+    lifecycle: [portfolio.member.start] (member, index),
+    [portfolio.member.done] (member, index, elapsed_s, reads, cancelled,
+    failed), [portfolio.winner] (member, elapsed_s since the race
+    started) the instant a verified read is published, and a
+    [portfolio.member_failed] counter per failed member. The telemetry sink
+    is mutex-serialised, so concurrent members may emit freely.
+    @raise Invalid_argument on an empty member list or non-positive
+    budget. *)

@@ -146,7 +146,8 @@ module Pool = struct
   (* The instrumented twin: same scheduling (shared work index drained
      by the caller plus every acquired worker), plus pool.* vocabulary —
      per-job submit→start latency and queue depth, per-participant
-     busy/idle split, and an overall utilization gauge. Participants are
+     busy/idle split, and an overall utilization gauge — and credits the
+     workers' minor words to the handle's GC probe. Participants are
      numbered 0 (the caller) .. k (acquired workers); each writes only
      its own slot of the local accumulators, and [wait]'s mutex
      round-trip publishes worker slots to the caller before they are
@@ -167,8 +168,9 @@ module Pool = struct
       let parts = 1 + List.length ids in
       let busy = Array.make parts 0. in
       let ran = Array.make parts 0 in
+      let words = Array.make parts 0. in
       let drain who () =
-        let t0 = Mclock.now () in
+        let t0 = Mclock.now () and w0 = Gc.minor_words () in
         let rec go () =
           let i = Atomic.fetch_and_add next 1 in
           if i < n then begin
@@ -186,7 +188,8 @@ module Pool = struct
           end
         in
         go ();
-        busy.(who) <- Mclock.now () -. t0
+        busy.(who) <- Mclock.now () -. t0;
+        words.(who) <- Gc.minor_words () -. w0
       in
       List.iteri (fun k id -> assign t id (drain (k + 1))) ids;
       drain 0 ();
@@ -196,6 +199,9 @@ module Pool = struct
           release t id)
         ids;
       let wall = Mclock.now () -. submit in
+      (* The caller's own share is already on its domain's counter; the
+         workers' shares reach the caller's GC probe through the handle. *)
+      Telemetry.credit_minor_words tm (Array.fold_left ( +. ) 0. words -. words.(0));
       for who = 0 to parts - 1 do
         Telemetry.observe tm "pool.worker_busy_s" busy.(who);
         Telemetry.emit tm "pool.worker"

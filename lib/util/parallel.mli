@@ -60,7 +60,10 @@ module Pool : sig
       (jobs run, busy and idle seconds — participant 0 is the calling
       domain), a [pool.worker_busy_s] histogram, [pool.utilization] and
       [pool.participants] gauges, and a closing [pool.stats] event. The
-      untracked path is byte-identical to previous revisions. *)
+      minor words the worker domains allocated are credited to the handle
+      ({!Telemetry.credit_minor_words}), so a {!Telemetry.with_gc_probe}
+      around the call counts them. The untracked path is byte-identical
+      to previous revisions. *)
 
   val shutdown : t -> unit
   (** [shutdown pool] terminates and joins the worker domains. Only needed

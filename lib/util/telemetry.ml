@@ -121,6 +121,7 @@ type t = {
   gauges : (string, float ref) Hashtbl.t;
   span_agg : (string, (int * float) ref) Hashtbl.t;
   open_spans : (int, string) Hashtbl.t; (* ids of begun-but-unfinished spans *)
+  mutable worker_minor_words : float; (* credited by pool jobs on other domains *)
 }
 
 type span = { id : int; sname : string; sparent : int; start : float }
@@ -139,6 +140,7 @@ let make sink =
     gauges = Hashtbl.create 16;
     span_agg = Hashtbl.create 16;
     open_spans = Hashtbl.create 16;
+    worker_minor_words = 0.;
   }
 
 let null = make Null
@@ -554,18 +556,27 @@ let expose_text snap =
 (* ------------------------------------------------------------------ *)
 (* GC probes *)
 
-(* Per-solve GC deltas from [Gc.quick_stat] (cheap: no heap walk). On
-   OCaml 5 the word counts are domain-local, so a probe around a
-   multi-domain sample phase reports the orchestrating domain's share —
-   deltas are a pressure signal, not an exact allocation ledger. *)
+let credit_minor_words t words =
+  if enabled t then locked t (fun () -> t.worker_minor_words <- t.worker_minor_words +. words)
+
+let worker_minor_words t = locked t (fun () -> t.worker_minor_words)
+
+(* Per-solve GC deltas. Minor words come from [Gc.minor_words], which
+   advances with every allocation ([Gc.quick_stat]'s figure only moves
+   when a minor collection runs, so a solve that allocates less than the
+   minor heap read 0). On OCaml 5 the count is domain-local: work the
+   pool ran on other domains reaches the probe through
+   [credit_minor_words]. The other figures still come from
+   [Gc.quick_stat] (cheap: no heap walk). *)
 let with_gc_probe t ?span f =
   if not (enabled t) then f ()
   else begin
     let g0 = Gc.quick_stat () in
+    let w0 = Gc.minor_words () and c0 = worker_minor_words t in
     Fun.protect
       ~finally:(fun () ->
         let g1 = Gc.quick_stat () in
-        let minor_words = g1.Gc.minor_words -. g0.Gc.minor_words in
+        let minor_words = Gc.minor_words () -. w0 +. (worker_minor_words t -. c0) in
         let major_words = g1.Gc.major_words -. g0.Gc.major_words in
         let promoted_words = g1.Gc.promoted_words -. g0.Gc.promoted_words in
         let minor_collections = g1.Gc.minor_collections - g0.Gc.minor_collections in

@@ -190,12 +190,19 @@ val snapshot_of_jsonl_file : string -> (snapshot, string) result
 (** {1 Resource probes} *)
 
 val with_gc_probe : t -> ?span:span -> (unit -> 'a) -> 'a
-(** [with_gc_probe t f] samples [Gc.quick_stat] around [f] and records
-    the delta: counters [gc.minor_collections] / [gc.major_collections],
-    histograms [gc.minor_words] / [gc.major_words] / [gc.promoted_words],
-    gauge [gc.heap_words], and one [gc.delta] point event. On OCaml 5
-    the word counts are domain-local, so multi-domain phases report the
-    orchestrating domain's share. No-op on {!null}. *)
+(** [with_gc_probe t f] records what [f] cost the GC: counters
+    [gc.minor_collections] / [gc.major_collections], histograms
+    [gc.minor_words] / [gc.major_words] / [gc.promoted_words], gauge
+    [gc.heap_words], and one [gc.delta] point event. Minor words are
+    exact — [Gc.minor_words] on the calling domain plus every word
+    {!credit_minor_words} credited to [t] meanwhile, which is how
+    {!Parallel.Pool} jobs on worker domains are counted; the other
+    figures are {!Gc.quick_stat} deltas of the calling domain. No-op on
+    {!null}. *)
+
+val credit_minor_words : t -> float -> unit
+(** [credit_minor_words t words] adds minor words allocated on another
+    domain on behalf of [t] to every {!with_gc_probe} open on [t]. *)
 
 (* ------------------------------------------------------------------ *)
 (** {1 JSONL encoding / validation} *)

@@ -22,7 +22,6 @@ module Chain = Qsmt_anneal.Chain
 module Hardware = Qsmt_anneal.Hardware
 module Metrics = Qsmt_anneal.Metrics
 module Spinglass = Qsmt_anneal.Spinglass
-module Portfolio = Qsmt_anneal.Portfolio
 module Convergence = Qsmt_anneal.Convergence
 
 let check = Alcotest.check
@@ -391,22 +390,60 @@ let test_portfolio_deterministic_across_jobs () =
   (* Without verify or budget, the merged set is a pure function of the
      members — the jobs count only changes the execution shape. *)
   let q = target_qubo "1011010" in
-  let members = Portfolio.default_members ~seed:3 in
-  let run jobs =
-    (Portfolio.run ~params:{ Portfolio.members; jobs; budget = None } q).Portfolio.merged
-  in
+  let members = Sampler.default_suite ~seed:3 in
+  let run jobs = (Sampler.race ~jobs members q).Sampler.merged in
   check Alcotest.bool "jobs=1 equals jobs=4" true (same_sampleset (run 1) (run 4))
+
+(* The merged default-suite race on a frustrated 12-spin glass, seed 3:
+   (bits, energy, occurrences). Every member's draws show here, so a
+   change to how members are built, seeded or run cannot hide. *)
+let portfolio_seed3_pin =
+  [
+    ("101100000011", -0x1.fa63526547c87p+3, 26);
+    ("010011111110", -0x1.ed83db663e38ap+3, 15);
+    ("010111000011", -0x1.ea97c57d7b0d8p+3, 8);
+    ("001111000011", -0x1.e85a9fe0dc1a7p+3, 11);
+    ("010011110010", -0x1.e5fabf6515fbep+3, 5);
+    ("101100001101", -0x1.e20c8729b77eep+3, 7);
+    ("110110000011", -0x1.d2d874c1c87e3p+3, 3);
+    ("110010101100", -0x1.b985a9a3d50dap+3, 3);
+    ("110110001101", -0x1.b47b0faeb36bcp+3, 4);
+    ("001111001101", -0x1.97cf1c1046493p+3, 1);
+    ("110010110010", -0x1.94887ee345344p+3, 1);
+    ("101000101100", -0x1.9321bdb020654p+3, 2);
+    ("001011111110", -0x1.8e89ec755deecp+3, 6);
+    ("001011110010", -0x1.8700d07435b2ep+3, 4);
+  ]
+
+let test_portfolio_pinned_merge () =
+  let q =
+    Spinglass.random_on_graph ~rng:(Prng.create 11) ~coupling:Spinglass.Gaussian ~field:0.5
+      (Topology.graph (Topology.king ~rows:3 ~cols:4))
+  in
+  let entries s =
+    List.map
+      (fun e -> (Bitvec.to_string e.Sampleset.bits, e.Sampleset.energy, e.Sampleset.occurrences))
+      (Sampleset.entries s)
+  in
+  let pin = Alcotest.(list (triple string (float 0.) int)) in
+  List.iter
+    (fun jobs ->
+      check pin
+        (Printf.sprintf "reseeded default portfolio, jobs=%d" jobs)
+        portfolio_seed3_pin
+        (entries (Sampler.run (Sampler.with_seed (Sampler.portfolio ~jobs ()) 3) q));
+      check pin
+        (Printf.sprintf "default suite seed 3, jobs=%d" jobs)
+        portfolio_seed3_pin
+        (entries (Sampler.run (Sampler.portfolio ~members:(Sampler.default_suite ~seed:3) ~jobs ()) q)))
+    [ 1; 2 ]
 
 let test_portfolio_early_exit_wins () =
   let target = "110100" in
   let q = target_qubo target in
   let verify bits = Bitvec.to_string bits = target in
-  let r =
-    Portfolio.run
-      ~params:{ Portfolio.members = Portfolio.default_members ~seed:5; jobs = 2; budget = None }
-      ~verify q
-  in
-  (match r.Portfolio.winner with
+  let r = Sampler.race ~jobs:2 ~verify (Sampler.default_suite ~seed:5) q in
+  (match r.Sampler.winner with
   | None -> Alcotest.fail "no winner on an easy instance"
   | Some (name, bits) ->
     check Alcotest.bool "winner is a member" true
@@ -416,69 +453,60 @@ let test_portfolio_early_exit_wins () =
     check Alcotest.bool "merged contains winner" true
       (List.exists
          (fun e -> Bitvec.equal e.Sampleset.bits bits)
-         (Sampleset.entries r.Portfolio.merged)));
-  check Alcotest.int "one report per member" 5 (List.length r.Portfolio.reports);
+         (Sampleset.entries r.Sampler.merged)));
+  check Alcotest.int "one report per member" 5 (List.length r.Sampler.reports);
   check Alcotest.bool "losers were cancelled" true
-    (List.exists (fun rep -> rep.Portfolio.cancelled) r.Portfolio.reports);
+    (List.exists (fun rep -> rep.Sampler.cancelled) r.Sampler.reports);
   check Alcotest.bool "no member failed" true
-    (List.for_all (fun rep -> rep.Portfolio.failed = None) r.Portfolio.reports)
+    (List.for_all (fun rep -> rep.Sampler.failed = None) r.Sampler.reports)
 
 let test_portfolio_budget_cuts_slow_member () =
   (* Exhaustive enumeration of 2^26 states takes far longer than the
      budget; the deadline must cancel it at a poll point. *)
   let q = target_qubo "10110100101101001011010010" in
-  let r =
-    Portfolio.run
-      ~params:{ Portfolio.members = [ Portfolio.M_exact None ]; jobs = 1; budget = Some 0.05 }
-      q
-  in
-  match r.Portfolio.reports with
+  let r = Sampler.race ~jobs:1 ~budget:0.05 [ Sampler.exact () ] q in
+  match r.Sampler.reports with
   | [ rep ] ->
-    check Alcotest.string "exact member" "exact" rep.Portfolio.member_name;
-    check Alcotest.bool "cancelled by budget" true rep.Portfolio.cancelled;
-    check Alcotest.bool "stopped well before full enumeration" true (rep.Portfolio.elapsed < 5.)
+    check Alcotest.string "exact member" "exact" rep.Sampler.member_name;
+    check Alcotest.bool "cancelled by budget" true rep.Sampler.cancelled;
+    check Alcotest.bool "stopped well before full enumeration" true (rep.Sampler.elapsed < 5.)
   | reps -> Alcotest.failf "expected 1 report, got %d" (List.length reps)
 
 let test_portfolio_validation () =
   let q = target_qubo "1" in
-  Alcotest.check_raises "no members" (Invalid_argument "Portfolio.run: no members") (fun () ->
-      ignore (Portfolio.run ~params:{ Portfolio.members = []; jobs = 1; budget = None } q));
-  Alcotest.check_raises "bad budget" (Invalid_argument "Portfolio.run: budget <= 0") (fun () ->
-      ignore
-        (Portfolio.run
-           ~params:
-             { Portfolio.members = Portfolio.default_members ~seed:0; jobs = 1; budget = Some 0. }
-           q))
+  Alcotest.check_raises "no members" (Invalid_argument "Sampler.race: no members") (fun () ->
+      ignore (Sampler.race ~jobs:1 [] q));
+  Alcotest.check_raises "bad budget" (Invalid_argument "Sampler.race: budget <= 0") (fun () ->
+      ignore (Sampler.race ~jobs:1 ~budget:0. (Sampler.default_suite ~seed:0) q));
+  Alcotest.check_raises "empty portfolio sampler" (Invalid_argument "Sampler.race: no members")
+    (fun () -> ignore (Sampler.run (Sampler.portfolio ~members:[] ()) q))
 
 let test_portfolio_member_failure_is_typed () =
-  (* 31 variables: M_exact raises its size cap the moment it starts. The
-     crash must surface as a typed per-member failure (plus the
-     portfolio.member_failed counter) while the surviving member's race
-     completes normally. *)
+  (* 31 variables: the exact member raises its size cap the moment it
+     starts. The crash must surface as a typed per-member failure (plus
+     the portfolio.member_failed counter) while the surviving member's
+     race completes normally. *)
   let q = target_qubo "1011010010110100101101001011010" in
   let t = Qsmt_util.Telemetry.collector () in
   let r =
-    Portfolio.run
-      ~params:
-        {
-          Portfolio.members =
-            [ Portfolio.M_exact None; Portfolio.M_greedy { Greedy.seed = 1; restarts = 4; domains = 1 } ];
-          jobs = 2;
-          budget = None;
-        }
-      ~telemetry:t q
+    Sampler.race ~jobs:2 ~telemetry:t
+      [
+        Sampler.exact ();
+        Sampler.greedy ~params:{ Greedy.seed = 1; restarts = 4; domains = 1 } ();
+      ]
+      q
   in
-  match r.Portfolio.reports with
+  match r.Sampler.reports with
   | [ ex; gr ] ->
-    check Alcotest.string "exact first" "exact" ex.Portfolio.member_name;
-    check Alcotest.bool "exact failed with typed message" true (ex.Portfolio.failed <> None);
-    check Alcotest.bool "failed member not marked cancelled" false ex.Portfolio.cancelled;
-    check Alcotest.bool "exact samples empty" true (Sampleset.is_empty ex.Portfolio.samples);
-    check (Alcotest.option Alcotest.string) "greedy survived" None gr.Portfolio.failed;
+    check Alcotest.string "exact first" "exact" ex.Sampler.member_name;
+    check Alcotest.bool "exact failed with typed message" true (ex.Sampler.failed <> None);
+    check Alcotest.bool "failed member not marked cancelled" false ex.Sampler.cancelled;
+    check Alcotest.bool "exact samples empty" true (Sampleset.is_empty ex.Sampler.samples);
+    check (Alcotest.option Alcotest.string) "greedy survived" None gr.Sampler.failed;
     check Alcotest.bool "survivor produced reads" true
-      (not (Sampleset.is_empty gr.Portfolio.samples));
+      (not (Sampleset.is_empty gr.Sampler.samples));
     check Alcotest.bool "merged keeps survivor reads" true
-      (not (Sampleset.is_empty r.Portfolio.merged));
+      (not (Sampleset.is_empty r.Sampler.merged));
     check (Alcotest.option Alcotest.int) "member_failed counter" (Some 1)
       (Qsmt_util.Telemetry.find_counter t "portfolio.member_failed")
   | reps -> Alcotest.failf "expected 2 reports, got %d" (List.length reps)
@@ -488,15 +516,11 @@ let test_portfolio_raising_verify_is_member_failure () =
      post-run scan the member must report failure with its samples kept,
      not abort the race. *)
   let q = target_qubo "110100" in
-  let r =
-    Portfolio.run
-      ~params:{ Portfolio.members = [ Portfolio.M_exact None ]; jobs = 1; budget = None }
-      ~verify:(fun _ -> failwith "verifier bug") q
-  in
-  match r.Portfolio.reports with
+  let r = Sampler.race ~jobs:1 ~verify:(fun _ -> failwith "verifier bug") [ Sampler.exact () ] q in
+  match r.Sampler.reports with
   | [ rep ] ->
-    check Alcotest.bool "typed failure" true (rep.Portfolio.failed <> None);
-    check Alcotest.bool "samples preserved" true (not (Sampleset.is_empty rep.Portfolio.samples))
+    check Alcotest.bool "typed failure" true (rep.Sampler.failed <> None);
+    check Alcotest.bool "samples preserved" true (not (Sampleset.is_empty rep.Sampler.samples))
   | reps -> Alcotest.failf "expected 1 report, got %d" (List.length reps)
 
 let test_portfolio_sampler_integration () =
@@ -926,19 +950,16 @@ let test_portfolio_hardware_member () =
     { (Hardware.default_params (Topology.chimera ~m:1 ())) with
       Hardware.anneal = { sa_params with Sa.reads = 8; sweeps = 200; domains = 1 } }
   in
-  let params =
-    { Portfolio.default with
-      Portfolio.members = [ Portfolio.M_sa { sa_params with Sa.domains = 1 }; Portfolio.M_hardware hw_params ] }
+  let r =
+    Sampler.race
+      [ Sampler.simulated_annealing ~params:sa_params (); Sampler.hardware ~params:hw_params ]
+      q
   in
-  let r = Portfolio.run ~params q in
-  let hw = List.find (fun rep -> rep.Portfolio.member_name = "hardware") r.Portfolio.reports in
-  check Alcotest.bool "report carries stats" true (hw.Portfolio.hardware <> None);
-  check Alcotest.bool "sa report has no stats" true
-    ((List.find (fun rep -> rep.Portfolio.member_name = "sa") r.Portfolio.reports).Portfolio.hardware
-    = None);
+  let report name = List.find (fun rep -> rep.Sampler.member_name = name) r.Sampler.reports in
+  check Alcotest.bool "report carries stats" true ((report "hardware").Sampler.hardware <> None);
+  check Alcotest.bool "sa report has no stats" true ((report "sa").Sampler.hardware = None);
   check (Alcotest.float 1e-9) "merged set has the ground" (Exact.minimum_energy q)
-    (Sampleset.lowest_energy r.Portfolio.merged)
-
+    (Sampleset.lowest_energy r.Sampler.merged)
 
 (* ------------------------------------------------------------------ *)
 (* Parallel tempering *)
@@ -1270,7 +1291,19 @@ let test_sampler_early_exit () =
     (List.exists (fun e -> Bitvec.equal e.Sampleset.bits ground) (Sampleset.entries s));
   (* Without early_exit the full read count is preserved. *)
   let full = Sampler.run ~verify sampler q in
-  check Alcotest.int "no early exit by default" 32 (Sampleset.total_reads full)
+  check Alcotest.int "no early exit by default" 32 (Sampleset.total_reads full);
+  (* The hardware emulation gets the same hooks: its reads reach the
+     verifier unembedded, so it stops early outside a race too. *)
+  let hw =
+    Sampler.hardware
+      ~params:
+        { (Hardware.default_params (Topology.chimera ~m:1 ())) with
+          Hardware.anneal = { sa_params with Sa.reads = 32 } }
+  in
+  check Alcotest.bool "hardware stopped early" true
+    (Sampleset.total_reads (Sampler.run ~verify ~early_exit:true hw q) < 32);
+  check Alcotest.int "hardware keeps every read by default" 32
+    (Sampleset.total_reads (Sampler.run ~verify hw q))
 
 let () =
   Alcotest.run "qsmt_anneal"
@@ -1363,6 +1396,7 @@ let () =
         [
           Alcotest.test_case "deterministic across jobs" `Quick
             test_portfolio_deterministic_across_jobs;
+          Alcotest.test_case "pinned merged sample set" `Quick test_portfolio_pinned_merge;
           Alcotest.test_case "early exit wins" `Quick test_portfolio_early_exit_wins;
           Alcotest.test_case "budget cuts slow member" `Quick
             test_portfolio_budget_cuts_slow_member;

@@ -117,6 +117,14 @@ let test_absint_reduction () =
 let test_absint_rows () = expect_fail "an unsatisfied row" (absint_gate (absint_doc ~sat:false 0.6))
 
 (* ------------------------------------------------------------------ *)
+(* Table 1: a deterministic row that does not reproduce the paper *)
+
+let test_table1_mismatch () =
+  let label = "Reverse 'hello' and replace 'e' with 'a'" in
+  expect_fail "ollah reproduced as olleh" [ table1_check ~label ~want:"ollah" ~got:"olleh" ];
+  expect_pass "ollah reproduced" [ table1_check ~label ~want:"ollah" ~got:"ollah" ]
+
+(* ------------------------------------------------------------------ *)
 (* a key the gate reads that the document lacks *)
 
 let test_missing_key () =
@@ -141,6 +149,7 @@ let () =
           Alcotest.test_case "decomp/whole ratio drifts past 2.5x" `Quick test_decompose_drift;
           Alcotest.test_case "absint reduction below 15%" `Quick test_absint_reduction;
           Alcotest.test_case "absint row neither sat nor proven unsat" `Quick test_absint_rows;
+          Alcotest.test_case "Table 1 deterministic row mismatches" `Quick test_table1_mismatch;
           Alcotest.test_case "missing keys fail the gate" `Quick test_missing_key;
         ] );
     ]

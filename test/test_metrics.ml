@@ -539,6 +539,58 @@ let test_chrome_export () =
 
 (* ------------------------------------------------------------------ *)
 
+(* ------------------------------------------------------------------ *)
+(* GC probe *)
+
+(* A solve's gc.minor_words must count its allocations: on one domain
+   (SA allocates far less than the minor heap, so a probe that only sees
+   minor collections reads 0) and across the pool's worker domains (a
+   portfolio racing two members at a time). *)
+let test_gc_probe_minor_words () =
+  let module Solver = Qsmt_strtheory.Solver in
+  let module Constr = Qsmt_strtheory.Constr in
+  let module Sampler = Qsmt_anneal.Sampler in
+  let minor_words sampler =
+    let t = Telemetry.aggregate_only () in
+    ignore
+      (Solver.solve ~sampler ~absint:`Off ~telemetry:t (Constr.Palindrome { length = 6 }));
+    match List.assoc_opt "gc.minor_words" (Telemetry.histograms t) with
+    | Some h -> h.Telemetry.h_max
+    | None -> Alcotest.fail "no gc.minor_words histogram"
+  in
+  let positive name w =
+    if not (w > 0.) then Alcotest.failf "%s: gc.minor_words = %g, expected > 0" name w
+  in
+  positive "sa" (minor_words (Sampler.simulated_annealing ()));
+  positive "portfolio jobs=2" (minor_words (Sampler.portfolio ~jobs:2 ()))
+
+(* Work a pool job did on a worker domain is credited to the probe
+   around the submission. *)
+let test_gc_probe_counts_workers () =
+  let module Parallel = Qsmt_util.Parallel in
+  let pool = Parallel.Pool.create 1 in
+  let t = Telemetry.aggregate_only () in
+  let caller = Domain.self () in
+  let started = Atomic.make 0 in
+  let kept = Atomic.make [] in
+  (* Two jobs, two participants, and each job waits until the other has
+     started, so the worker domain runs exactly one of them. Only that
+     one allocates: a 10k-element list, 30k words. *)
+  let job () =
+    Atomic.incr started;
+    while Atomic.get started < 2 do
+      Domain.cpu_relax ()
+    done;
+    if Domain.self () <> caller then Atomic.set kept (List.init 10_000 Fun.id)
+  in
+  Telemetry.with_gc_probe t (fun () -> Parallel.Pool.run_list ~telemetry:t pool [ job; job ]);
+  Parallel.Pool.shutdown pool;
+  match List.assoc_opt "gc.minor_words" (Telemetry.histograms t) with
+  | Some h ->
+    if h.Telemetry.h_max < 30_000. then
+      Alcotest.failf "gc.minor_words = %g, expected >= 30000" h.Telemetry.h_max
+  | None -> Alcotest.fail "no gc.minor_words histogram"
+
 let () =
   Alcotest.run "qsmt_metrics"
     [
@@ -576,5 +628,7 @@ let () =
           Alcotest.test_case "pool instrumentation" `Quick test_pool_instrumentation;
           Alcotest.test_case "validator span balance" `Quick test_validator_span_balance;
           Alcotest.test_case "chrome export" `Quick test_chrome_export;
+          Alcotest.test_case "gc probe counts minor words" `Quick test_gc_probe_minor_words;
+          Alcotest.test_case "gc probe counts pool workers" `Quick test_gc_probe_counts_workers;
         ] );
     ]
