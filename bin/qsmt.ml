@@ -561,7 +561,8 @@ let classical_backend () =
             let outcomes = List.map (Strsolver.Session.solve session) conjuncts in
             if List.exists (fun o -> o.Strsolver.result = `Unsat) outcomes then `Unsat
             else begin
-              let candidate_ok v = List.for_all (fun c -> Constr.verify c v) conjuncts in
+              let checks = List.map Constr.checker conjuncts in
+              let candidate_ok v = List.for_all (fun check -> check v) checks in
               let witness =
                 List.find_map
                   (fun o ->

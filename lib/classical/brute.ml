@@ -13,12 +13,13 @@ let string_length_of = function
   | Constr.Includes _ -> 0
 
 let solve ~alphabet ?(limit = 1_000_000) constr =
+  let check = Constr.checker constr in
   match constr with
   | Constr.Includes { haystack; needle } ->
     let positions = String.length haystack - String.length needle + 1 in
     let rec go p =
       if p >= positions then None
-      else if Constr.verify constr (Constr.Pos (Some p)) then Some (Constr.Pos (Some p))
+      else if check (Constr.Pos (Some p)) then Some (Constr.Pos (Some p))
       else go (p + 1)
     in
     go 0
@@ -44,7 +45,7 @@ let solve ~alphabet ?(limit = 1_000_000) constr =
       if tried >= limit then None
       else begin
         let candidate = Constr.Str (render ()) in
-        if Constr.verify constr candidate then Some candidate
+        if check candidate then Some candidate
         else if bump 0 then go (tried + 1)
         else None
       end

@@ -21,9 +21,22 @@ let of_nfa nfa =
       let row = Array.make 128 (-1) in
       (* reserve the slot before recursing; rows are patched in place *)
       rows := (id, row, List.mem (Nfa.accept nfa) states) :: !rows;
+      (* Most codes move nowhere, and the rest share a few move sets:
+         close each distinct move set once. Targets are still interned
+         in code order, so state numbering is that of closing every
+         code separately. *)
+      let closed = ref [] (* (move set, target id) seen in this row *) in
       for code = 0 to 127 do
-        let next = Nfa.epsilon_closure nfa (Nfa.step nfa states (Char.chr code)) in
-        if next <> [] then row.(code) <- intern next
+        match Nfa.step nfa states (Char.chr code) with
+        | [] -> ()
+        | moves ->
+          row.(code) <-
+            (match List.assoc_opt moves !closed with
+            | Some target -> target
+            | None ->
+              let target = intern (Nfa.epsilon_closure nfa moves) in
+              closed := (moves, target) :: !closed;
+              target)
       done;
       id
   in

@@ -185,25 +185,32 @@ let literal_of = function
     Some (String.init num_chars (fun i -> if i < target_length then '\127' else '\000'))
   | _ -> None
 
+(* A conjunct's propagation step and its checker; a regex conjunct's
+   DFA is built once and serves both. *)
 let step_of ~length c =
-  match literal_of c with
-  | Some s -> fun st -> meet_literal st s
-  | None -> (
-    match c with
-    | Constr.Index_of { substring; index; _ } ->
-      fun st ->
-        String.iteri (fun j ch -> meet st (index + j) (Charset.singleton ch)) substring
-    | Constr.Contains { substring; _ } -> step_contains ~length ~sub:substring
-    | Constr.Palindrome _ ->
-      (* the merges are made once, before the loop; the per-iteration
-         work is the shared [congruence] propagation *)
-      fun _ -> ()
-    | Constr.Regex { pattern; _ } ->
-      let dfa = Dfa.of_syntax pattern in
-      step_regex ~length ~dfa
-    | Constr.Equals _ | Constr.Concat _ | Constr.Reverse _ | Constr.Replace_all _
-    | Constr.Replace_first _ | Constr.Has_length _ | Constr.Includes _ ->
-      fun _ -> ())
+  match c with
+  | Constr.Regex { pattern; length = regex_length } ->
+    let dfa = Dfa.of_syntax pattern in
+    (step_regex ~length ~dfa, Constr.regex_checker dfa ~length:regex_length)
+  | _ ->
+    let step =
+      match literal_of c with
+      | Some s -> fun st -> meet_literal st s
+      | None -> (
+        match c with
+        | Constr.Index_of { substring; index; _ } ->
+          fun st ->
+            String.iteri (fun j ch -> meet st (index + j) (Charset.singleton ch)) substring
+        | Constr.Contains { substring; _ } -> step_contains ~length ~sub:substring
+        | Constr.Palindrome _ ->
+          (* the merges are made once, before the loop; the per-iteration
+             work is the shared [congruence] propagation *)
+          fun _ -> ()
+        | Constr.Equals _ | Constr.Concat _ | Constr.Reverse _ | Constr.Replace_all _
+        | Constr.Replace_first _ | Constr.Has_length _ | Constr.Includes _ | Constr.Regex _ ->
+          fun _ -> ())
+    in
+    (step, Constr.checker c)
 
 (* ------------------------------------------------------------------ *)
 (* The analysis                                                        *)
@@ -222,7 +229,7 @@ let decide_includes ~haystack ~needle =
   | None ->
     V_unsat (Printf.sprintf "needle %S never occurs in haystack %S" needle haystack)
 
-let verdict_of st cs =
+let verdict_of st cs checks =
   match st.contradiction with
   | Some reason -> V_unsat reason
   | None ->
@@ -231,11 +238,10 @@ let verdict_of st cs =
         String.init (Array.length st.st_doms) (fun i ->
             match Charset.choose st.st_doms.(i) with Some c -> c | None -> assert false)
       in
-      match
-        List.find_opt (fun c -> not (Constr.verify c (Constr.Str candidate))) cs
-      with
+      let fails (_, check) = not (check (Constr.Str candidate)) in
+      match List.find_opt fails (List.combine cs checks) with
       | None -> V_sat (Constr.Str candidate)
-      | Some c ->
+      | Some (c, _) ->
         V_unsat
           (Format.asprintf "unique candidate %a fails %s" Constr.pp_value
              (Constr.Str candidate) (Constr.describe c))
@@ -301,7 +307,7 @@ let analyze ?(max_iters = default_max_iters) cs =
             done
           | _ -> ())
         cs;
-      let steps = List.map (step_of ~length) cs in
+      let steps, checks = List.split (List.map (step_of ~length) cs) in
       let iters = ref 0 in
       while st.changed && st.contradiction = None && !iters < max_iters do
         st.changed <- false;
@@ -317,7 +323,7 @@ let analyze ?(max_iters = default_max_iters) cs =
           iterations = !iters;
           facts = st.st_facts;
           widened;
-          verdict = verdict_of st cs;
+          verdict = verdict_of st cs checks;
         })
 
 (* ------------------------------------------------------------------ *)

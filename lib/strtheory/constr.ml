@@ -80,36 +80,41 @@ let num_vars c =
   | Has_length { num_chars; _ } -> 7 * num_chars
   | Replace_all { source; _ } | Replace_first { source; _ } -> 7 * String.length source
 
-let verify c value =
-  match (c, value) with
-  | Equals target, Str out -> out = target
-  | Concat parts, Str out -> out = Semantics.concat parts
-  | Contains { length; substring }, Str out ->
-    String.length out = length && Semantics.contains out ~sub:substring
-  | Includes { haystack; needle }, Pos (Some i) -> Semantics.occurs_at haystack ~sub:needle i
-  | Includes _, Pos None -> false
-  | Index_of { length; substring; index }, Str out ->
-    String.length out = length && Semantics.occurs_at out ~sub:substring index
-  | Has_length { num_chars; target_length }, Str out ->
+let regex_checker dfa ~length = function
+  | Str out -> String.length out = length && Dfa.matches dfa out
+  | Pos _ -> false
+
+let checker c =
+  (* Everything that depends on the constraint alone — target strings,
+     the regex DFA — is computed here, once; the returned closure only
+     reads it. *)
+  let equals target = function Str out -> String.equal out target | Pos _ -> false in
+  let on_str p = function Str out -> p out | Pos _ -> false in
+  match c with
+  | Equals target -> equals target
+  | Concat parts -> equals (Semantics.concat parts)
+  | Contains { length; substring } ->
+    on_str (fun out -> String.length out = length && Semantics.contains out ~sub:substring)
+  | Includes { haystack; needle } -> (
+    function
+    | Pos (Some i) -> Semantics.occurs_at haystack ~sub:needle i
+    | Pos None | Str _ -> false)
+  | Index_of { length; substring; index } ->
+    on_str (fun out -> String.length out = length && Semantics.occurs_at out ~sub:substring index)
+  | Has_length { num_chars; target_length } ->
     (* Paper bit semantics: first 7·L bits set, remainder clear — i.e.
        target_length DEL characters followed by NULs. *)
-    String.length out = num_chars
-    && String.for_all (fun c -> c = '\127') (String.sub out 0 target_length)
-    && String.for_all (fun c -> c = '\000')
-         (String.sub out target_length (num_chars - target_length))
-  | Replace_all { source; find; replace }, Str out ->
-    out = Semantics.replace_all source ~find ~replace
-  | Replace_first { source; find; replace }, Str out ->
-    out = Semantics.replace_first source ~find ~replace
-  | Reverse source, Str out -> out = Semantics.reverse source
-  | Palindrome { length }, Str out -> String.length out = length && Semantics.is_palindrome out
-  | Regex { pattern; length }, Str out ->
-    String.length out = length && Dfa.matches (Dfa.of_syntax pattern) out
-  | ( ( Equals _ | Concat _ | Contains _ | Index_of _ | Has_length _ | Replace_all _
-      | Replace_first _ | Reverse _ | Palindrome _ | Regex _ ),
-      Pos _ ) ->
-    false
-  | Includes _, Str _ -> false
+    if target_length < 0 || target_length > num_chars then fun _ -> false
+    else equals (String.init num_chars (fun i -> if i < target_length then '\127' else '\000'))
+  | Replace_all { source; find; replace } -> equals (Semantics.replace_all source ~find ~replace)
+  | Replace_first { source; find; replace } ->
+    equals (Semantics.replace_first source ~find ~replace)
+  | Reverse source -> equals (Semantics.reverse source)
+  | Palindrome { length } ->
+    on_str (fun out -> String.length out = length && Semantics.is_palindrome out)
+  | Regex { pattern; length } -> regex_checker (Dfa.of_syntax pattern) ~length
+
+let verify c value = checker c value
 
 let describe = function
   | Equals s -> Printf.sprintf "generate the string %S" s

@@ -2,7 +2,7 @@
 
     A constraint describes what the solver must *generate*: usually a
     string (encoded over [7n] binary variables), for {!Includes} a start
-    position (one-hot over the candidate positions). {!verify} is the
+    position (one-hot over the candidate positions). {!checker} is the
     classical yardstick: it decides, with ordinary string semantics,
     whether a produced value satisfies the constraint — the solver never
     gets to grade its own homework. *)
@@ -49,16 +49,34 @@ val num_vars : t -> int
 (** Number of QUBO variables the encoding uses.
     @raise Invalid_argument if the constraint is invalid. *)
 
+val checker : t -> value -> bool
+(** [checker c] is the classical satisfaction check for [c], compiled:
+    build once, call per read. Everything that depends on [c] alone is
+    computed when the checker is built — the DFA of a {!Regex} pattern,
+    the target string of {!Equals}, {!Concat}, {!Replace_all},
+    {!Replace_first}, {!Reverse} and {!Has_length} — so each call only
+    compares or runs the DFA over the value. The closure reads immutable
+    data only, so one checker may be called from several domains at once
+    (a portfolio race's early-exit callbacks).
+
+    A [Str] for {!Includes} or a [Pos] for a string-producing constraint
+    is never satisfied. For {!Includes}, any valid occurrence position is
+    accepted (the first-match preference is an energy tie-break, not a
+    soundness condition). For {!Index_of}, characters outside the forced
+    substring are unconstrained, so only length and the occurrence at
+    [index] are checked. For {!Has_length} the check follows the paper's
+    bit-level semantics: the first [7·target_length] decoded bits are 1
+    and the rest 0.
+    @raise Invalid_argument if a {!Regex} pattern has no automaton (a
+    repetition whose upper bound is below its lower bound). *)
+
+val regex_checker : Qsmt_regex.Dfa.t -> length:int -> value -> bool
+(** The {!checker} of [Regex { pattern; length }] given the pattern's
+    already-built DFA, for callers that need the automaton anyway. *)
+
 val verify : t -> value -> bool
-(** Classical satisfaction check. A [Str] for {!Includes} or a [Pos] for
-    a string-producing constraint is never satisfied. For {!Includes},
-    any valid occurrence position is accepted (the first-match preference
-    is an energy tie-break, not a soundness condition). For
-    {!Index_of}, characters outside the forced substring are
-    unconstrained, so only length and the occurrence at [index] are
-    checked. For {!Has_length} the check follows the paper's bit-level
-    semantics: the first [7·target_length] decoded bits are 1 and the
-    rest 0. *)
+(** [verify c v] is [checker c v]: a one-off check. A loop over many
+    values builds the {!checker} once instead. *)
 
 val describe : t -> string
 (** One line, human-readable (used in experiment tables). *)

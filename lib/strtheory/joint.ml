@@ -68,17 +68,13 @@ let solve_with ~sampler ~absint ~telemetry ~encode ~search cs =
       cs
   in
   let value = match o.Solver.value with Constr.Str s -> s | Constr.Pos _ -> "" in
-  (* A static refutation is a proof that no string satisfies the whole
-     conjunction: every conjunct is reported unsatisfied. *)
-  let refuted = Option.is_some o.Solver.decided && not o.Solver.satisfied in
   Ok
     {
       qubo = o.Solver.qubo;
       samples = o.Solver.samples;
       value;
       satisfied = o.Solver.satisfied;
-      per_constraint =
-        List.map (fun c -> (c, (not refuted) && Constr.verify c (Constr.Str value))) cs;
+      per_constraint = List.combine cs o.Solver.conjuncts_ok;
       decided = o.Solver.decided;
     }
 

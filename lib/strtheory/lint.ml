@@ -56,10 +56,11 @@ let soundness_findings config constr q =
     let min_violating = ref infinity in
     let sat_above_ground = ref 0 in
     let n = Array.length e.Analyze.energies in
+    let check = Constr.checker constr in
     for k = 0 to n - 1 do
       let energy = e.Analyze.energies.(k) in
       let value = Compile.decode constr (Analyze.assignment e k) in
-      let sat = Constr.verify constr value in
+      let sat = check value in
       if energy <= e.Analyze.ground_energy +. tol then begin
         if not sat then begin
           incr unsound_count;

@@ -14,6 +14,7 @@ type outcome = {
   samples : Sampleset.t;
   value : Constr.value;
   satisfied : bool;
+  conjuncts_ok : bool list;
   energy : float;
   hardware : Qsmt_anneal.Hardware.stats option;
   decided : Absint.analysis option;
@@ -55,6 +56,7 @@ let unanswered constr =
     samples = Sampleset.empty;
     value = (match constr with Constr.Includes _ -> Constr.Pos None | _ -> Constr.Str "");
     satisfied = false;
+    conjuncts_ok = [ false ];
     energy = 0.;
     hardware = None;
     decided = None;
@@ -108,14 +110,16 @@ let solve_encoded ~sampler ~telemetry ~span ~lint ~encode ~search ~analysis conj
   (* Every conjunct of a conjunction generates the same 7·L bits, so the
      first one's decode serves them all. *)
   let decode = Compile.decode constr in
-  let verify value =
-    timed verify_s (fun () -> List.for_all (fun c -> Constr.verify c value) conjuncts)
-  in
+  (* Checks are compiled once per chain call and shared by the sampler's
+     callbacks, the scan and model reuse. *)
+  let checks = timed verify_s (fun () -> List.map Constr.checker conjuncts) in
+  let verify value = timed verify_s (fun () -> List.for_all (fun check -> check value) checks) in
   let scan samples hardware =
     let verified = !verify_s in
     let value, satisfied, energy = stage decode_s "decode" (fun () -> pick ~decode ~verify samples) in
     decode_s := !decode_s -. (!verify_s -. verified);
-    { constr; qubo; samples; value; satisfied; energy; hardware; decided = None }
+    let conjuncts_ok = List.map (fun check -> satisfied || check value) checks in
+    { constr; qubo; samples; value; satisfied; conjuncts_ok; energy; hardware; decided = None }
   in
   (* Built on the first anneal only: a query answered by model reuse
      never pays for the forced-bit scan or the clamp. *)
@@ -196,11 +200,14 @@ let chain ~sampler ~absint ~telemetry ~gc_probe ~lint ~encode ~search conjuncts 
               | Error _ -> None)
       in
       let result =
+        let static a ok =
+          let conjuncts_ok = List.map (fun _ -> ok) conjuncts in
+          { (unanswered constr) with satisfied = ok; conjuncts_ok; decided = Some a }
+        in
         match analysis with
         | Some ({ Absint.verdict = Absint.V_sat value; _ } as a) ->
-          Ok ({ (unanswered constr) with value; satisfied = true; decided = Some a }, no_time)
-        | Some ({ Absint.verdict = Absint.V_unsat _; _ } as a) ->
-          Ok ({ (unanswered constr) with decided = Some a }, no_time)
+          Ok ({ (static a true) with value }, no_time)
+        | Some ({ Absint.verdict = Absint.V_unsat _; _ } as a) -> Ok (static a false, no_time)
         | None | Some { Absint.verdict = Absint.V_undecided; _ } ->
           solve_encoded ~sampler ~telemetry ~span ~lint ~encode ~search ~analysis conjuncts constr
       in

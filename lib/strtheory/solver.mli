@@ -11,7 +11,11 @@ type outcome = {
   qubo : Qsmt_qubo.Qubo.t;
   samples : Qsmt_anneal.Sampleset.t;
   value : Constr.value;  (** see [solve] for how it is chosen *)
-  satisfied : bool;  (** [Constr.verify constr value] *)
+  satisfied : bool;  (** every conjunct's {!Constr.checker} accepts [value] *)
+  conjuncts_ok : bool list;
+      (** per conjunct of the solved conjunction, in order: does its
+          checker accept [value]? One entry for a single constraint; all
+          [false] after a static refutation. *)
   energy : float;  (** energy of the sample behind [value] *)
   hardware : Qsmt_anneal.Hardware.stats option;
       (** chain/embedding diagnostics — qubits used, chain-break
@@ -67,8 +71,9 @@ val unanswered : Constr.t -> outcome
 (** The outcome of a query that produced no candidate: an empty
     placeholder QUBO over the constraint's variables (none for a
     constraint that fails {!Constr.validate}), zero reads,
-    [satisfied = false], [decided = None], and the constraint kind's
-    empty value ([Pos None] for [Includes], [Str ""] otherwise). *)
+    [satisfied = false], [conjuncts_ok = [false]], [decided = None], and
+    the constraint kind's empty value ([Pos None] for [Includes], [Str ""]
+    otherwise). *)
 
 type search =
   qubo:Qsmt_qubo.Qubo.t ->
@@ -99,7 +104,10 @@ val chain :
     generate the same variables (a single constraint, or conjuncts that
     passed {!Joint.common_length}); the first conjunct's
     {!Compile.decode} decodes samples and a value is satisfied when every
-    conjunct verifies it. [Error] when the list is empty, a conjunct fails
+    conjunct's {!Constr.checker} accepts it. The checkers are built once
+    per call, after a static verdict would have returned, and shared by
+    the sampler's early-exit callbacks, the decode scan and model reuse.
+    [Error] when the list is empty, a conjunct fails
     {!Constr.validate}, or the sampler returns no samples.
 
     A static absint verdict returns {!unanswered} with the verdict in

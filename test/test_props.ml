@@ -288,7 +288,8 @@ let solver_props =
         let rng = Prng.create seed in
         let c =
           Workload.generate_satisfiable ~rng
-            ~kinds:[ Workload.K_includes; Workload.K_palindrome; Workload.K_contains ]
+            ~kinds:
+              [ Workload.K_includes; Workload.K_palindrome; Workload.K_contains; Workload.K_regex ]
             ~max_length:3 ()
         in
         let cdcl = Strsolver.solve c in

@@ -501,6 +501,82 @@ let test_rep_count () =
   check Alcotest.int "4 strings" 4 (Dfa.count_matching dfa ~len:2);
   check Alcotest.int "none at 3" 0 (Dfa.count_matching dfa ~len:3)
 
+(* ------------------------------------------------------------------ *)
+(* Pinned subset-construction tables *)
+
+(* The whole table as one string: state count, start, then per state its
+   accepting flag and all 128 successors. *)
+let dfa_table dfa =
+  let b = Buffer.create 4096 in
+  let n = Dfa.num_states dfa in
+  Buffer.add_string b (Printf.sprintf "%d;%d;" n (Dfa.start_state dfa));
+  for s = 0 to n - 1 do
+    Buffer.add_char b (if Dfa.is_accepting dfa s then '1' else '0');
+    for code = 0 to 127 do
+      Buffer.add_string b
+        (match Dfa.transition dfa s (Char.chr code) with
+        | Some t -> string_of_int t ^ ","
+        | None -> "-,")
+    done
+  done;
+  Buffer.contents b
+
+(* Recorded before the subset construction learned to skip empty moves
+   and close each distinct move set once: state numbering and every
+   transition must not move. The first four patterns are the Table 1 and
+   Ext-3 regexes; the rest are [Workload] regex draws (max length 6 for
+   seeds 1-6, 16 for seeds 7-12). *)
+let pinned_tables =
+  [
+    ("a[bc]+", 3, "e3cec4c1744df33980f0e211df6d8b2d");
+    ("[ab]+", 2, "1e499facb05cf8d1bb19e680d370c5f4");
+    ("cat|dog", 7, "92e64542dd3b033a473691cc06dcde14");
+    ("[a-z]+z", 3, "e150e19885c7273678c9886ab78b1169");
+    ("(a|b)+ab", 5, "1e3e7bab01f82e505d846cf2f68b10e8");
+    (".+", 2, "ad85b46e7866271abe700c5b3ddcbdab");
+  ]
+
+let pinned_draws =
+  [
+    (2, "b19dcf92b9e8d1d604d6a7fb27ee8ea7");
+    (2, "9c9a00c92a8d4cbfacdda7239dbf48c4");
+    (3, "f5545fee6892f12cbd8b20d4d93e4386");
+    (3, "addcc779fc8a94f09639cb0c497bb9ca");
+    (2, "bcb9a9f6c8486326f5c88e898b4756c6");
+    (2, "507be8030f4956fc9f3ba9595993c3a9");
+    (3, "644788f5cf2c8e24191b7238a57255ee");
+    (3, "a42fc51bd8a4be12ffe42840a3a59e94");
+    (8, "b2bc926bb71f66a1a79a421e341c51e5");
+    (7, "94655a7c6bd3438dc530620a16903318");
+    (5, "60f6f238cf78636dda984aba5ef5e6e5");
+    (3, "5875d5bd9f2704181474841840731d98");
+  ]
+
+let check_pinned label pattern (states, digest) =
+  let dfa = Dfa.of_syntax pattern in
+  check Alcotest.int (label ^ " states") states (Dfa.num_states dfa);
+  check Alcotest.string (label ^ " table") digest (Digest.to_hex (Digest.string (dfa_table dfa)))
+
+let test_pinned_tables () =
+  List.iter
+    (fun (src, states, digest) -> check_pinned src (parse src) (states, digest))
+    pinned_tables
+
+let test_pinned_workload_draws () =
+  List.iteri
+    (fun i pin ->
+      let seed = i + 1 in
+      let rng = Prng.create seed in
+      let max_length = if seed <= 6 then 6 else 16 in
+      match
+        Qsmt_strtheory.Workload.generate ~rng ~kinds:[ Qsmt_strtheory.Workload.K_regex ]
+          ~max_length ()
+      with
+      | Qsmt_strtheory.Constr.Regex { pattern; _ } ->
+        check_pinned (Printf.sprintf "draw %d /%s/" seed (Syntax.to_string pattern)) pattern pin
+      | _ -> Alcotest.fail "K_regex drew a non-regex constraint")
+    pinned_draws
+
 let () =
   Alcotest.run "qsmt_regex"
     [
@@ -555,6 +631,8 @@ let () =
           Alcotest.test_case "restrict" `Quick test_restrict;
           Alcotest.test_case "accepts nothing" `Quick test_accepts_nothing;
           prop_count_agrees_with_enumeration;
+          Alcotest.test_case "pinned tables" `Quick test_pinned_tables;
+          Alcotest.test_case "pinned workload draws" `Quick test_pinned_workload_draws;
         ] );
       ( "rep",
         [

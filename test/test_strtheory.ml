@@ -447,6 +447,110 @@ let test_decode_length_mismatch () =
     (Invalid_argument "Compile.decode: sample has 3 bits, constraint uses 7") (fun () ->
       ignore (Compile.decode (Constr.Equals "a") (Bitvec.create 3)))
 
+(* The check as it was written before checkers were compiled: every call
+   rebuilds what it needs, the regex DFA included. The checker must agree
+   with it everywhere. *)
+let reference_verify c value =
+  match (c, value) with
+  | Constr.Equals target, Constr.Str out -> out = target
+  | Constr.Concat parts, Constr.Str out -> out = Semantics.concat parts
+  | Constr.Contains { length; substring }, Constr.Str out ->
+    String.length out = length && Semantics.contains out ~sub:substring
+  | Constr.Includes { haystack; needle }, Constr.Pos (Some i) ->
+    Semantics.occurs_at haystack ~sub:needle i
+  | Constr.Includes _, Constr.Pos None -> false
+  | Constr.Index_of { length; substring; index }, Constr.Str out ->
+    String.length out = length && Semantics.occurs_at out ~sub:substring index
+  | Constr.Has_length { num_chars; target_length }, Constr.Str out ->
+    String.length out = num_chars
+    && String.for_all (fun c -> c = '\127') (String.sub out 0 target_length)
+    && String.for_all (fun c -> c = '\000')
+         (String.sub out target_length (num_chars - target_length))
+  | Constr.Replace_all { source; find; replace }, Constr.Str out ->
+    out = Semantics.replace_all source ~find ~replace
+  | Constr.Replace_first { source; find; replace }, Constr.Str out ->
+    out = Semantics.replace_first source ~find ~replace
+  | Constr.Reverse source, Constr.Str out -> out = Semantics.reverse source
+  | Constr.Palindrome { length }, Constr.Str out ->
+    String.length out = length && Semantics.is_palindrome out
+  | Constr.Regex { pattern; length }, Constr.Str out ->
+    String.length out = length && Qsmt_regex.Dfa.matches (Qsmt_regex.Dfa.of_syntax pattern) out
+  | _, Constr.Pos _ | Constr.Includes _, Constr.Str _ -> false
+
+(* A value satisfying a satisfiable workload constraint. *)
+let planted = function
+  | Constr.Equals s -> Constr.Str s
+  | Constr.Concat parts -> Constr.Str (Semantics.concat parts)
+  | Constr.Contains { length; substring } ->
+    Constr.Str (substring ^ String.make (length - String.length substring) 'a')
+  | Constr.Includes { haystack; needle } -> Constr.Pos (Semantics.index_of haystack ~sub:needle)
+  | Constr.Index_of { length; substring; index } ->
+    Constr.Str
+      (String.init length (fun i ->
+           if i >= index && i < index + String.length substring then substring.[i - index]
+           else 'a'))
+  | Constr.Has_length { num_chars; target_length } ->
+    Constr.Str (String.init num_chars (fun i -> if i < target_length then '\127' else '\000'))
+  | Constr.Replace_all { source; find; replace } ->
+    Constr.Str (Semantics.replace_all source ~find ~replace)
+  | Constr.Replace_first { source; find; replace } ->
+    Constr.Str (Semantics.replace_first source ~find ~replace)
+  | Constr.Reverse s -> Constr.Str (Semantics.reverse s)
+  | Constr.Palindrome { length } ->
+    Constr.Str (String.init length (fun i -> Char.chr (97 + min i (length - 1 - i))))
+  | Constr.Regex { pattern; length } -> (
+    match Qsmt_regex.Dfa.enumerate ~limit:1 (Qsmt_regex.Dfa.of_syntax pattern) ~len:length with
+    | s :: _ -> Constr.Str s
+    | [] -> Alcotest.fail "workload regex admits no string of its length")
+
+(* One character changed (a position moved by one). *)
+let mutant ~seed = function
+  | Constr.Str "" -> Constr.Str "a"
+  | Constr.Str s ->
+    let i = seed mod String.length s in
+    let c' = if s.[i] = 'z' then 'a' else Char.chr (Char.code s.[i] + 1) in
+    Constr.Str (String.mapi (fun j x -> if j = i then c' else x) s)
+  | Constr.Pos (Some p) -> Constr.Pos (Some (p + 1))
+  | Constr.Pos None -> Constr.Pos (Some 0)
+
+let wrong_kind = function
+  | Constr.Includes { haystack; _ } -> Constr.Str haystack
+  | _ -> Constr.Pos (Some 0)
+
+let prop_checker_matches_reference =
+  qtest ~count:30 "checker = reference verify on every workload kind"
+    QCheck2.Gen.(int_range 0 9999)
+    (fun seed ->
+      let rng = Prng.create seed in
+      List.for_all
+        (fun kind ->
+          let c = Workload.generate_satisfiable ~rng ~kinds:[ kind ] ~max_length:6 () in
+          let check = Constr.checker c in
+          let good = planted c in
+          reference_verify c good
+          && List.for_all
+               (fun v -> check v = reference_verify c v)
+               [ good; mutant ~seed good; wrong_kind c ])
+        Workload.all_kinds)
+
+(* A compiled checker allocates next to nothing per call (7 words,
+   measured in both build profiles: the DFA walk's state ref and
+   closure); rebuilding the DFA per call, as [Constr.verify] once did,
+   costs tens of thousands of words for this pattern. *)
+let test_checker_allocation () =
+  let c = Constr.Regex { pattern = Rparser.parse_exn "a[bc]+[a-z]*z"; length = 6 } in
+  let check = Constr.checker c in
+  let yes = Constr.Str "abcbqz" and no = Constr.Str "abcbqy" in
+  Alcotest.(check bool) "accepts" true (check yes);
+  Alcotest.(check bool) "rejects" false (check no);
+  let calls = 1000 in
+  let before = Gc.minor_words () in
+  for i = 1 to calls do
+    ignore (Sys.opaque_identity (check (if i land 1 = 0 then yes else no)))
+  done;
+  let per_call = (Gc.minor_words () -. before) /. float_of_int calls in
+  if per_call > 16. then Alcotest.failf "checker allocated %.1f words per call" per_call
+
 (* ------------------------------------------------------------------ *)
 (* Solver behaviour *)
 
@@ -893,6 +997,8 @@ let () =
           Alcotest.test_case "validate" `Quick test_constr_validate;
           Alcotest.test_case "verify wrong kind" `Quick test_verify_wrong_value_kind;
           Alcotest.test_case "decode length mismatch" `Quick test_decode_length_mismatch;
+          prop_checker_matches_reference;
+          Alcotest.test_case "checker allocation per call" `Quick test_checker_allocation;
         ] );
       ( "joint",
         [
