@@ -6,7 +6,25 @@
     Ising form of the problem, following a β schedule from hot to cold;
     reads can run in parallel across domains (each read owns a PRNG
     stream derived from the master seed, so results are independent of
-    the domain count). *)
+    the domain count).
+
+    {b Closed form on factorizable problems.} A sweep proposes a flip at
+    every spin in ascending index order, and a proposal at spin [i] reads
+    only the spins of [i]'s connected component of the coupler graph. So
+    components evolve independently, and a read's final state is
+    distributed as the product of the per-component distributions. When
+    every component of [s] spins satisfies [2^s <= reads], {!sample}
+    carries each distinct component's [2^s]-state distribution through
+    the schedule once (same site order, same Ising deltas
+    [-2 s_i field_i], same acceptance rule [d <= 0 || u < exp (-β d)]),
+    then draws each read from the product with one uniform per component
+    from that read's own stream. That costs no more than simulating the
+    reads, and usually far less (the string encodings' residuals split
+    into components of one or two spins). The output {e distribution} is
+    the kernel's; the per-seed {e bits} are not, because the random
+    stream is consumed differently. Every other input runs the simulated
+    kernel, unchanged. Eligibility depends on the input alone: there is
+    no flag. *)
 
 type params = {
   reads : int;  (** independent annealing runs (default 32) *)
@@ -70,11 +88,36 @@ val sample :
     one read solves the constraint. Without [stop]/[on_read] the result is
     a pure function of [params], independent of [domains].
 
-    [telemetry] (default {!Qsmt_util.Telemetry.null}) streams strided
-    [sa.sweep] events (read, sweep, β, tracked energy, acceptance rate)
-    plus an [sa.reads] counter and an [sa.read_energy] histogram.
+    On a factorizable input (see above) every read is drawn from the
+    closed form: read 0 with [init] starts from the point mass of [init]
+    restricted to each component, [postprocess] descends from the drawn
+    state, an explicit [schedule] is honoured, and [stop]/[on_read] act
+    per read (a read is drawn whole, so [stop] is not polled inside one).
+
+    [telemetry] (default {!Qsmt_util.Telemetry.null}) records an
+    [sa.reads] counter, an [sa.sweeps] counter (nominal: [sweeps] per
+    completed read) and an [sa.read_energy] histogram on both paths. The
+    simulated kernel adds strided [sa.sweep] events (read, sweep, β,
+    tracked energy, acceptance rate) and the [sa.sweeps_per_s] /
+    [sa.flips_per_s] gauges; the closed form emits one [sa.closed_form]
+    event instead (components, distinct component classes, largest
+    component, states propagated), since it makes no proposals.
     Instrumentation never touches the PRNG, so samples are bit-identical
     with telemetry on or off. *)
+
+val closed_form_distribution :
+  ?params:params ->
+  ?init:Qsmt_util.Bitvec.t ->
+  Qsmt_qubo.Qubo.t ->
+  (Qsmt_util.Bitvec.t -> float) option
+(** [closed_form_distribution q] is the exact distribution {!sample}
+    draws read 0 from before [postprocess] (with [init], the warm read;
+    without, every read): the probability of each full assignment as the
+    product of the propagated component distributions. [None] when [q]
+    is not factorizable under [params.reads], i.e. when {!sample} runs
+    the simulated kernel. For tests and analysis; each call propagates
+    afresh.
+    @raise Invalid_argument as {!sample}. *)
 
 type packed_mode =
   | Bucketed
@@ -111,7 +154,11 @@ val run_packed :
     {!Bucketed}. [domains] parallelises across groups, so it only helps
     past 64 reads. Telemetry: strided [sa.packed_sweep] events (group,
     lanes, sweep, β, best tracked energy, acceptance across lanes) plus
-    the same [sa.reads] / [sa.read_energy] aggregates as {!sample}. *)
+    the same [sa.reads] / [sa.read_energy] aggregates as {!sample}.
+
+    A factorizable input (see the top of this module) takes {!sample}'s
+    closed form instead, in either mode, so the result equals
+    {!sample}'s read for read. *)
 
 val anneal_ising :
   rng:Qsmt_util.Prng.t ->

@@ -270,6 +270,255 @@ let prop_sa_finds_ground_small =
       let s = Sa.sample ~params:{ sa_params with Sa.reads = 24; sweeps = 400 } q in
       Float.abs (Sampleset.lowest_energy s -. Exact.minimum_energy q) < 1e-9)
 
+(* ------------------------------------------------------------------ *)
+(* SA closed form on factorizable problems *)
+
+module Constr = Qsmt_strtheory.Constr
+module Compile = Qsmt_strtheory.Compile
+module Absint = Qsmt_strtheory.Absint
+module Preprocess = Qsmt_qubo.Preprocess
+
+let qubo_of n entries =
+  let b = Qubo.builder () in
+  List.iter (fun (i, j, v) -> Qubo.add b i j v) entries;
+  Qubo.freeze ~num_vars:n b
+
+(* Three components, interleaved in index order: a frustrated triangle
+   {0, 2, 5} (every Ising coupler positive), a coupled pair {1, 4}, and
+   spin 3 with no term at all (zero field). *)
+let three_components =
+  qubo_of 6
+    [
+      (0, 0, -1.); (2, 2, -1.25); (5, 5, -0.75); (0, 2, 1.); (2, 5, 1.); (0, 5, 1.5);
+      (1, 1, 0.5); (4, 4, -0.5); (1, 4, -1.5);
+    ]
+
+let bits_of_int n x = Bitvec.init n (fun i -> x land (1 lsl i) <> 0)
+
+(* The whole 2^n-state chain, sweeping spins 0..n-1 with deltas priced
+   fresh by Ising.flip_delta: no factorisation anywhere. *)
+let brute_force_distribution ?init ~schedule q =
+  let ising = Ising.of_qubo q in
+  let n = Ising.num_spins ising in
+  let size = 1 lsl n in
+  let p =
+    match init with
+    | None -> Array.make size (1. /. float_of_int size)
+    | Some b ->
+      let a = Array.make size 0. in
+      let x = ref 0 in
+      for i = 0 to n - 1 do
+        if Bitvec.get b i then x := !x lor (1 lsl i)
+      done;
+      a.(!x) <- 1.;
+      a
+  in
+  let accept beta d = if d <= 0. then 1. else exp (-.beta *. d) in
+  for sweep = 0 to Schedule.sweeps schedule - 1 do
+    let beta = Schedule.beta schedule sweep in
+    for i = 0 to n - 1 do
+      let moved = Array.make size 0. in
+      for x = 0 to size - 1 do
+        let a = accept beta (Ising.flip_delta ising (bits_of_int n x) i) in
+        let y = x lxor (1 lsl i) in
+        moved.(y) <- moved.(y) +. (p.(x) *. a);
+        moved.(x) <- moved.(x) +. (p.(x) *. (1. -. a))
+      done;
+      Array.blit moved 0 p 0 size
+    done
+  done;
+  p
+
+let test_closed_form_exact () =
+  let q = three_components in
+  let ising = Ising.of_qubo q in
+  let init = Bitvec.of_string "101100" in
+  List.iter
+    (fun (label, schedule, init) ->
+      let params = { Sa.default with Sa.reads = 8; sweeps = 37; schedule; seed = 1 } in
+      let closed =
+        match Sa.closed_form_distribution ~params ?init q with
+        | Some f -> f
+        | None -> Alcotest.failf "%s: components of <= 3 spins at 8 reads must be eligible" label
+      in
+      let schedule =
+        match schedule with Some s -> s | None -> Schedule.auto ~sweeps:37 ising
+      in
+      let brute = brute_force_distribution ?init ~schedule q in
+      Array.iteri
+        (fun x pb ->
+          let pc = closed (bits_of_int 6 x) in
+          if Float.abs (pc -. pb) > 1e-12 then
+            Alcotest.failf "%s: state %d closed form %.17g, brute force %.17g" label x pc pb)
+        brute)
+    [
+      ("auto schedule", None, None);
+      ("auto schedule, init", None, Some init);
+      ( "explicit schedule",
+        Some (Schedule.make ~beta_hot:0.3 ~beta_cold:4. ~sweeps:25 ()),
+        None );
+      ( "explicit schedule, init",
+        Some (Schedule.make ~kind:Schedule.Linear ~beta_hot:0.1 ~beta_cold:2. ~sweeps:24 ()),
+        Some init );
+      (* hot and short: no state is negligible, so site order shows *)
+      ("hot schedule", Some (Schedule.make ~beta_hot:0.05 ~beta_cold:0.6 ~sweeps:7 ()), None);
+      ("hot schedule, init", Some (Schedule.make ~beta_hot:0.05 ~beta_cold:0.6 ~sweeps:7 ()), Some init);
+    ]
+
+let test_closed_form_eligibility_rule () =
+  (* the triangle needs 2^3 = 8 reads *)
+  let eligible reads =
+    Option.is_some
+      (Sa.closed_form_distribution ~params:{ Sa.default with Sa.reads; sweeps = 5 }
+         three_components)
+  in
+  check Alcotest.bool "8 reads" true (eligible 8);
+  check Alcotest.bool "7 reads" false (eligible 7);
+  check Alcotest.bool "max_int reads" true (eligible max_int);
+  check Alcotest.bool "1 read: no component fits" false (eligible 1)
+
+(* Verified reads out of [reads], by the kernel (Sa.anneal_ising on each
+   read's own stream, the kernel's read body) and by the closed form. *)
+let verify_rates ~reads ~sweeps q verify =
+  let ising = Ising.of_qubo q in
+  let schedule = Schedule.auto ~sweeps ising in
+  let kernel = ref 0 in
+  for r = 0 to reads - 1 do
+    let bits, _ = Sa.anneal_ising ~rng:(Prng.stream ~seed:1 r) ~schedule ising in
+    if verify bits then incr kernel
+  done;
+  let params = { Sa.default with Sa.reads; sweeps; seed = 2 } in
+  if Sa.closed_form_distribution ~params q = None then
+    Alcotest.fail "expected a factorizable problem";
+  let closed =
+    List.fold_left
+      (fun a e -> if verify e.Sampleset.bits then a + e.Sampleset.occurrences else a)
+      0
+      (Sampleset.entries (Sa.sample ~params q))
+  in
+  (!kernel, closed)
+
+let check_agreement label ~reads (kernel, closed) =
+  let n = float_of_int reads in
+  let pk = float_of_int kernel /. n and pc = float_of_int closed /. n in
+  let p = (pk +. pc) /. 2. in
+  let sigma = sqrt (2. *. p *. (1. -. p) /. n) in
+  if Float.abs (pk -. pc) > 5. *. sigma then
+    Alcotest.failf "%s: kernel %.4f vs closed form %.4f (5 sigma = %.4f)" label pk pc (5. *. sigma)
+
+let test_closed_form_agrees_palindrome () =
+  let c = Constr.Palindrome { length = 6 } in
+  let reads = 4096 in
+  check_agreement "palindrome 6" ~reads
+    (verify_rates ~reads ~sweeps:200 (Compile.to_qubo c) (fun bits ->
+         Constr.verify c (Compile.decode c bits)))
+
+let test_closed_form_agrees_regex_residual () =
+  let c =
+    Constr.Regex { pattern = Qsmt_regex.Parser.parse_exn "a+(a|v|y)+"; length = 7 }
+  in
+  let analysis = Result.get_ok (Absint.analyze [ c ]) in
+  let red = Preprocess.clamp (Compile.to_qubo c) (Absint.forced_bits analysis) in
+  let reads = 4096 in
+  check_agreement "a+(a|v|y)+ residual" ~reads
+    (verify_rates ~reads ~sweeps:200 (Preprocess.residual red) (fun bits ->
+         Constr.verify c (Compile.decode c (Preprocess.expand red bits))))
+
+let pairs_qubo = Compile.to_qubo (Constr.Palindrome { length = 4 })
+let cf_params = { Sa.default with Sa.reads = 16; sweeps = 40; seed = 5 }
+
+let read_order ?stop ?(params = cf_params) q =
+  let seen = ref [] in
+  let (_ : Sampleset.t) = Sa.sample ~params ?stop ~on_read:(fun b -> seen := Bitvec.copy b :: !seen) q in
+  List.rev !seen
+
+let test_closed_form_deterministic () =
+  let a = read_order pairs_qubo and b = read_order pairs_qubo in
+  check Alcotest.(list string) "same seed, same reads in order"
+    (List.map Bitvec.to_string a) (List.map Bitvec.to_string b);
+  let c = read_order ~params:{ cf_params with Sa.seed = 6 } pairs_qubo in
+  check Alcotest.bool "another seed, other reads" false
+    (List.map Bitvec.to_string a = List.map Bitvec.to_string c)
+
+let test_closed_form_early_exit () =
+  let reads = read_order pairs_qubo in
+  (* the first read equal to read 5 "verifies" *)
+  let target = List.nth reads 5 in
+  let rec first k = function
+    | b :: rest -> if Bitvec.equal b target then k else first (k + 1) rest
+    | [] -> assert false
+  in
+  let k = first 0 reads in
+  let hit = ref false in
+  let s =
+    Sa.sample ~params:cf_params
+      ~stop:(fun () -> !hit)
+      ~on_read:(fun b -> if Bitvec.equal b target then hit := true)
+      pairs_qubo
+  in
+  check Alcotest.int "reads up to and including the verified one" (k + 1)
+    (Sampleset.total_reads s)
+
+let test_closed_form_postprocess () =
+  let q = three_components in
+  let params = { Sa.default with Sa.reads = 64; sweeps = 3; seed = 9; postprocess = true } in
+  let s = Sa.sample ~params q in
+  check Alcotest.int "all reads" 64 (Sampleset.total_reads s);
+  List.iter
+    (fun e ->
+      for i = 0 to Qubo.num_vars q - 1 do
+        if Qubo.flip_delta q e.Sampleset.bits i < -1e-9 then Alcotest.fail "not a local minimum"
+      done;
+      if Float.abs (e.Sampleset.energy -. Qubo.energy q e.Sampleset.bits) > 1e-9 then
+        Alcotest.fail "energy disagrees with recomputation")
+    (Sampleset.entries s)
+
+(* A problem outside the rule runs the simulated kernel: its reads are
+   exactly Sa.anneal_ising's on the per-read streams. *)
+let check_kernel_path label ~params q =
+  check Alcotest.bool (label ^ ": not factorizable") true
+    (Sa.closed_form_distribution ~params q = None);
+  let ising = Ising.of_qubo q in
+  let schedule = Schedule.auto ~sweeps:params.Sa.sweeps ising in
+  let expected =
+    Sampleset.of_tracked q
+      (List.init params.Sa.reads (fun r ->
+           Sa.anneal_ising ~rng:(Prng.stream ~seed:params.Sa.seed r) ~schedule ising))
+  in
+  let entries s =
+    List.map (fun e -> (Bitvec.to_string e.Sampleset.bits, e.Sampleset.occurrences)) (Sampleset.entries s)
+  in
+  check
+    Alcotest.(list (pair string int))
+    (label ^ ": kernel reads") (entries expected)
+    (entries (Sa.sample ~params q))
+
+(* One ring of [n] spins: a single component. *)
+let ring n = qubo_of n (List.init n (fun i -> (i, (i + 1) mod n, if i mod 3 = 0 then -1. else 1.)))
+
+let test_closed_form_guard_large_components () =
+  (* 2^64 and 2^128 must not wrap to a small number of states *)
+  check_kernel_path "64-spin ring" ~params:{ Sa.default with Sa.reads = 2; sweeps = 20; seed = 3 }
+    (ring 64);
+  check_kernel_path "128-spin ring"
+    ~params:{ Sa.default with Sa.reads = 3; sweeps = 20; seed = 3 }
+    (ring 128)
+
+(* Best bits of this instance at these params, recorded before the
+   closed form existed; a one-component problem must keep them. *)
+let chimera_pin =
+  "00011101010000111110010111011010011010010011010100100000101111001110110101101101010111101110011100000011100100111010000110000000"
+
+let test_closed_form_guard_chimera () =
+  let q =
+    Spinglass.random_on_graph ~rng:(Prng.create 4) ~coupling:Spinglass.Gaussian
+      (Topology.graph (Topology.chimera ~m:4 ()))
+  in
+  let params = { Sa.default with Sa.reads = 8; sweeps = 200; seed = 3 } in
+  check_kernel_path "chimera C(4,4,4)" ~params q;
+  check Alcotest.string "best bits as before the closed form" chimera_pin
+    (Bitvec.to_string (Sampleset.best (Sa.sample ~params q)).Sampleset.bits)
+
 let test_sqa_solves_diagonal () =
   let q = target_qubo "1101001" in
   let s = Sqa.sample ~params:{ Sqa.default with Sqa.reads = 8; sweeps = 200; seed = 3 } q in
@@ -1351,6 +1600,22 @@ let () =
           Alcotest.test_case "postprocess local min" `Quick test_sa_postprocess_at_local_min;
           Alcotest.test_case "validation" `Quick test_sa_validation;
           prop_sa_finds_ground_small;
+        ] );
+      ( "closed-form",
+        [
+          Alcotest.test_case "exact vs brute-force chain" `Quick test_closed_form_exact;
+          Alcotest.test_case "2^s <= reads rule" `Quick test_closed_form_eligibility_rule;
+          Alcotest.test_case "agrees with kernel: palindrome 6" `Slow
+            test_closed_form_agrees_palindrome;
+          Alcotest.test_case "agrees with kernel: regex residual" `Slow
+            test_closed_form_agrees_regex_residual;
+          Alcotest.test_case "deterministic per seed" `Quick test_closed_form_deterministic;
+          Alcotest.test_case "early exit truncates" `Quick test_closed_form_early_exit;
+          Alcotest.test_case "postprocess local minima" `Quick test_closed_form_postprocess;
+          Alcotest.test_case "64/128-spin components run the kernel" `Quick
+            test_closed_form_guard_large_components;
+          Alcotest.test_case "chimera C(4,4,4) runs the kernel" `Quick
+            test_closed_form_guard_chimera;
         ] );
       ( "sqa",
         [

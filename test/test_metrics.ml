@@ -285,29 +285,57 @@ let test_validate_rejects_garbage () =
 let test_instrumentation_is_invisible () =
   (* The determinism contract: instrumentation never consumes PRNG state
      or changes control flow, so a traced run returns bit-identical
-     samples to an untraced one. *)
+     samples to an untraced one — on the closed form and on the
+     simulated kernel alike. *)
   let module Sa = Qsmt_anneal.Sa in
   let module Qubo = Qsmt_qubo.Qubo in
+  let params = { Sa.default with Sa.seed = 11; reads = 8; sweeps = 64 } in
+  let traced_events q =
+    let plain = Sa.sample ~params q in
+    let t = Telemetry.collector () in
+    let traced = Sa.sample ~params ~telemetry:t q in
+    let sig_of s =
+      List.map
+        (fun e -> (Bitvec.to_string e.Sampleset.bits, e.Sampleset.energy, e.Sampleset.occurrences))
+        (Sampleset.entries s)
+    in
+    check Alcotest.bool "bit-identical samples" true (sig_of plain = sig_of traced);
+    check Alcotest.(option int) "reads counted" (Some 8) (Telemetry.find_counter t "sa.reads");
+    check Alcotest.(option int) "nominal sweeps counted" (Some (8 * 64))
+      (Telemetry.find_counter t "sa.sweeps");
+    Telemetry.events t
+  in
+  let has ev events = List.exists (fun e -> e.Telemetry.ev = ev) events in
+  (* components {0, 1, 5}, {2, 4} and {3}: 2^3 <= 8 reads, closed form *)
   let b = Qubo.builder () in
   Qubo.add b 0 0 1.5;
   Qubo.add b 3 3 (-2.0);
   Qubo.add b 0 1 (-1.0);
   Qubo.add b 2 4 0.75;
   Qubo.add b 1 5 (-0.5);
-  let q = Qubo.freeze ~num_vars:6 b in
-  let params = { Sa.default with Sa.seed = 11; reads = 8; sweeps = 64 } in
-  let plain = Sa.sample ~params q in
-  let t = Telemetry.collector () in
-  let traced = Sa.sample ~params ~telemetry:t q in
-  let sig_of s =
-    List.map
-      (fun e -> (Bitvec.to_string e.Sampleset.bits, e.Sampleset.energy, e.Sampleset.occurrences))
-      (Sampleset.entries s)
-  in
-  check Alcotest.bool "bit-identical samples" true (sig_of plain = sig_of traced);
-  check Alcotest.(option int) "reads counted" (Some 8) (Telemetry.find_counter t "sa.reads");
-  check Alcotest.bool "sweep stream present" true
-    (List.exists (fun e -> e.Telemetry.ev = "sa.sweep") (Telemetry.events t))
+  let events = traced_events (Qubo.freeze ~num_vars:6 b) in
+  (match List.filter (fun e -> e.Telemetry.ev = "sa.closed_form") events with
+  | [ e ] ->
+    check
+      Alcotest.(list (pair string string))
+      "closed-form event fields"
+      [ ("components", "3"); ("classes", "3"); ("largest", "3"); ("states", "14") ]
+      (List.map
+         (fun (k, v) ->
+           (k, match v with Telemetry.Int i -> string_of_int i | _ -> "not an int"))
+         e.Telemetry.fields)
+  | l -> Alcotest.failf "%d sa.closed_form events, expected 1" (List.length l));
+  check Alcotest.bool "no sweep stream without a trajectory" false (has "sa.sweep" events);
+  (* one connected 6-spin chain: 2^6 > 8 reads, simulated kernel *)
+  let b = Qubo.builder () in
+  Qubo.add b 0 0 1.5;
+  Qubo.add b 3 3 (-2.0);
+  for i = 0 to 4 do
+    Qubo.add b i (i + 1) (if i mod 2 = 0 then -1.0 else 0.75)
+  done;
+  let events = traced_events (Qubo.freeze ~num_vars:6 b) in
+  check Alcotest.bool "sweep stream present" true (has "sa.sweep" events);
+  check Alcotest.bool "no closed-form event" false (has "sa.closed_form" events)
 
 (* ================================================================== *)
 (* Observability: quantiles, snapshot/exposition, pool probes,

@@ -206,10 +206,10 @@ let accept_units =
 (* ------------------------------------------------------------------ *)
 (* Sa.run_packed: lockstep sample parity, tail lanes, postprocess *)
 
-let sample_parity ~reads ~sweeps ~seed q =
+let sample_parity ?(mode = Sa.Lockstep) ~reads ~sweeps ~seed q =
   let params = { Sa.default with Sa.reads; sweeps; seed } in
   let scalar = Sa.sample ~params q in
-  let packed = Sa.run_packed ~params ~mode:Sa.Lockstep q in
+  let packed = Sa.run_packed ~params ~mode q in
   let entries s =
     List.map
       (fun e -> (Bitvec.to_string e.Sampleset.bits, e.Sampleset.energy, e.Sampleset.occurrences))
@@ -223,7 +223,18 @@ let lockstep_parity () =
   let q, _ = random_ising ~seed:5 ~n:48 ~density:0.3 in
   (* 70 reads: one full group and a 6-lane tail. 1 read: a single lane.
      64: exactly one full group. *)
-  List.iter (fun reads -> sample_parity ~reads ~sweeps:60 ~seed:3 q) [ 1; 7; 64; 70 ]
+  List.iter (fun reads -> sample_parity ~reads ~sweeps:60 ~seed:3 q) [ 1; 7; 64; 70 ];
+  (* Coupled pairs plus a free spin: factorizable from 4 reads on, where
+     both packed modes take the scalar closed form. *)
+  let b = Qubo.builder () in
+  for k = 0 to 9 do
+    Qubo.add b (2 * k) (2 * k) (if k mod 2 = 0 then -1. else 0.5);
+    Qubo.add b (2 * k) ((2 * k) + 1) (if k mod 3 = 0 then 2. else -1.5)
+  done;
+  let pairs = Qubo.freeze ~num_vars:21 b in
+  List.iter
+    (fun mode -> List.iter (fun reads -> sample_parity ~mode ~reads ~sweeps:60 ~seed:3 pairs) [ 4; 70 ])
+    [ Sa.Lockstep; Sa.Bucketed ]
 
 let postprocess_parity () =
   let q, _ = random_ising ~seed:6 ~n:40 ~density:0.4 in
