@@ -99,15 +99,11 @@ module Kernel = struct
       done
     done
 
-  (* The same loop through the incremental state: O(1) per proposal. *)
+  (* The sweep the samplers run, on the incremental state: O(1) per
+     proposal. *)
   let fields_kernel ~rng ~schedule fields =
-    let n = Fields.num_spins fields in
     for k = 0 to Schedule.sweeps schedule - 1 do
-      let beta = Schedule.beta schedule k in
-      for i = 0 to n - 1 do
-        let delta = Fields.delta fields i in
-        if delta <= 0. || Prng.float rng < Float.exp (-.beta *. delta) then Fields.flip fields i
-      done
+      ignore (Fields.metropolis_sweep fields ~rng ~beta:(Schedule.beta schedule k))
     done
 
   let kernel_throughput ising =
@@ -155,8 +151,8 @@ module Kernel = struct
 
   (* --- Multi-spin kernel: bit-parallel multi-replica coding (BENCH_8).
 
-     The scalar side is 64 independent Fields states driven by the plain
-     Metropolis loop; the packed side is one Multispin state whose fused
+     The scalar side is 64 independent Fields states, each advanced by
+     Fields.metropolis_sweep; the packed side is one Multispin state whose fused
      sweep advances all 64 lanes per CSR pass. Both are measured at a
      fixed equilibrium beta (the cold end of the instance's default
      schedule), which isolates the kernel as above: at equilibrium the
@@ -198,13 +194,7 @@ module Kernel = struct
       timed
         (fun rng -> Array.map (fun s -> Fields.create ising (Bitvec.copy s)) (starts rng))
         (fun rng fields ->
-          Array.iter
-            (fun f ->
-              for i = 0 to n - 1 do
-                let d = Fields.delta f i in
-                if d <= 0. || Prng.float rng < Float.exp (-.beta *. d) then Fields.flip f i
-              done)
-            fields)
+          Array.iter (fun f -> ignore (Fields.metropolis_sweep f ~rng ~beta)) fields)
     in
     let packed_t =
       timed

@@ -435,7 +435,8 @@ let with_telemetry ~trace ~metrics ?(metrics_out = None) ?(progress = false) ?tt
 exception Refused of string
 
 (* The solver backend gen, run and repl share, parsed from one set of
-   flags: CDCL bit-blasting, or a sampler plus the absint setting. *)
+   flags: CDCL bit-blasting, or a sampler plus the absint setting. The
+   same term carries --progress, which all three report with. *)
 type backend = Classical | Annealing of { sampler : Sampler.t; absint : Absint.gate }
 
 let backend_term =
@@ -454,7 +455,8 @@ let backend_term =
   and+ noise = noise_arg
   and+ decompose = decompose_arg
   and+ subsize = subsize_arg
-  and+ no_absint = no_absint_arg in
+  and+ no_absint = no_absint_arg
+  and+ progress = progress_arg in
   let sa = { Sa.default with Sa.seed; reads; sweeps; domains } in
   let annealing base =
     let sampler =
@@ -466,52 +468,55 @@ let backend_term =
     in
     Annealing { sampler; absint = (if no_absint then `Off else `On) }
   in
-  match kind with
-  | `Classical -> Classical
-  | `Sa ->
-    annealing
-      (if packed then Sampler.simulated_annealing_packed ~params:sa ()
-       else Sampler.simulated_annealing ~params:sa ())
-  | `Sqa ->
-    annealing
-      (Sampler.simulated_quantum_annealing
-         ~params:{ Sqa.default with Sqa.seed; sweeps = max 1 (sweeps / 2); reads; domains } ())
-  | `Tabu ->
-    annealing
-      (Sampler.tabu ~params:{ Tabu.default with Tabu.seed; restarts = reads; iterations = sweeps } ())
-  | `Greedy -> annealing (Sampler.greedy ~params:{ Greedy.seed; restarts = reads; domains } ())
-  | `Exact ->
-    let exact = Sampler.exact () in
-    annealing
-      (Sampler.make ~name:"exact" (fun q ->
-           let n = Qubo.num_vars q in
-           if n > Exact.max_vars then
-             raise
-               (Refused
-                  (Printf.sprintf "exact: %d variables exceed the %d-variable cap" n Exact.max_vars))
-           else Sampler.run exact q))
-  | `Hardware ->
-    (* Parameters are derived per problem: auto-sizing needs the compiled
-       QUBO, which only exists once the constraint is encoded. *)
-    annealing
-      (Sampler.hardware_auto (fun q ->
-           let topology =
-             if topology_size > 0 then
-               match topology with
-               | `Chimera -> Topology.chimera ~m:topology_size ()
-               | `King -> Topology.king ~rows:topology_size ~cols:topology_size
-               | `Complete -> Topology.complete topology_size
-             else Hardware.auto_topology ~seed ~kind:topology q
-           in
-           { (Hardware.default_params topology) with
-             Hardware.chain_strength;
-             noise_sigma = noise;
-             anneal = sa }))
-  | `Portfolio ->
-    (* The packed racer takes the reads knob (it shines at high read
-       counts). *)
-    let packed = if packed then [ Sampler.simulated_annealing_packed ~params:sa () ] else [] in
-    annealing (Sampler.portfolio ~members:(Sampler.default_suite ~seed @ packed) ~jobs ?budget ())
+  let backend =
+    match kind with
+    | `Classical -> Classical
+    | `Sa ->
+      annealing
+        (if packed then Sampler.simulated_annealing_packed ~params:sa ()
+         else Sampler.simulated_annealing ~params:sa ())
+    | `Sqa ->
+      annealing
+        (Sampler.simulated_quantum_annealing
+           ~params:{ Sqa.default with Sqa.seed; sweeps = max 1 (sweeps / 2); reads; domains } ())
+    | `Tabu ->
+      annealing
+        (Sampler.tabu ~params:{ Tabu.default with Tabu.seed; restarts = reads; iterations = sweeps } ())
+    | `Greedy -> annealing (Sampler.greedy ~params:{ Greedy.seed; restarts = reads; domains } ())
+    | `Exact ->
+      let exact = Sampler.exact () in
+      annealing
+        (Sampler.make ~name:"exact" (fun q ->
+             let n = Qubo.num_vars q in
+             if n > Exact.max_vars then
+               raise
+                 (Refused
+                    (Printf.sprintf "exact: %d variables exceed the %d-variable cap" n Exact.max_vars))
+             else Sampler.run exact q))
+    | `Hardware ->
+      (* Parameters are derived per problem: auto-sizing needs the compiled
+         QUBO, which only exists once the constraint is encoded. *)
+      annealing
+        (Sampler.hardware_auto (fun q ->
+             let topology =
+               if topology_size > 0 then
+                 match topology with
+                 | `Chimera -> Topology.chimera ~m:topology_size ()
+                 | `King -> Topology.king ~rows:topology_size ~cols:topology_size
+                 | `Complete -> Topology.complete topology_size
+               else Hardware.auto_topology ~seed ~kind:topology q
+             in
+             { (Hardware.default_params topology) with
+               Hardware.chain_strength;
+               noise_sigma = noise;
+               anneal = sa }))
+    | `Portfolio ->
+      (* The packed racer takes the reads knob (it shines at high read
+         counts). *)
+      let packed = if packed then [ Sampler.simulated_annealing_packed ~params:sa () ] else [] in
+      annealing (Sampler.portfolio ~members:(Sampler.default_suite ~seed @ packed) ~jobs ?budget ())
+  in
+  (backend, progress)
 
 (* CDCL bit-blasting as an SMT-LIB theory backend: complete on the
    supported fragment, so (unlike the samplers) it may answer `Unsat.
@@ -685,7 +690,8 @@ let absint_summary ppf (a : Absint.analysis) =
   Format.fprintf ppf "%s — %d iteration(s), %d fact(s), %d/%d position(s) fixed" verdict
     a.Absint.iterations a.Absint.facts (Absint.num_fixed_positions a) a.Absint.length
 
-let gen_action op args backend show_matrix param_assigns lint_level trace metrics metrics_out =
+let gen_action op args (backend, progress) show_matrix param_assigns lint_level trace metrics
+    metrics_out =
   let params = params_of_assignments param_assigns in
   match constraint_of_op op args with
   | Error (`Msg m) ->
@@ -713,7 +719,7 @@ let gen_action op args backend show_matrix param_assigns lint_level trace metric
         if o.Strsolver.satisfied || o.Strsolver.result = `Unsat then 0 else 1
       | Annealing { sampler; absint } -> begin
         let result =
-          with_telemetry ~trace ~metrics ~metrics_out
+          with_telemetry ~trace ~metrics ~metrics_out ~progress
             ~tts_of:(function Ok r -> gen_tts r | Error _ -> None)
             (fun telemetry ->
               match
@@ -1208,7 +1214,7 @@ let matrix_cmd =
 (* ------------------------------------------------------------------ *)
 (* run *)
 
-let run_action path backend trace metrics metrics_out progress =
+let run_action path (backend, progress) trace metrics metrics_out =
   let source = read_source path in
   let result =
     with_telemetry ~trace ~metrics ~metrics_out ~progress (fun telemetry ->
@@ -1229,8 +1235,7 @@ let run_cmd =
   Cmd.v
     (Cmd.info "run" ~doc:"Execute an SMT-LIB script (QF_S generative fragment).")
     Term.(
-      const run_action $ path $ backend_term $ trace_arg $ metrics_arg $ metrics_out_arg
-      $ progress_arg)
+      const run_action $ path $ backend_term $ trace_arg $ metrics_arg $ metrics_out_arg)
 
 (* ------------------------------------------------------------------ *)
 (* repl *)
@@ -1241,8 +1246,8 @@ let run_cmd =
    with its encode cache, warm starts and learned clauses — across
    commands, and recovers from errors instead of aborting the way
    `qsmt run` does. *)
-let repl_action backend =
-  let st = Interp.create ~backend:(interp_backend ~telemetry:Telemetry.null backend) () in
+let repl_session ~telemetry backend =
+  let st = Interp.create ~backend:(interp_backend ~telemetry backend) () in
   let stop = ref None in
   let exec_chunk chunk =
     match Parser.parse_script chunk with
@@ -1320,6 +1325,10 @@ let repl_action backend =
       prerr_endline "qsmt: unbalanced input at end of stream";
       2
     end
+
+let repl_action (backend, progress) =
+  with_telemetry ~trace:None ~metrics:false ~progress (fun telemetry ->
+      repl_session ~telemetry backend)
 
 let repl_cmd =
   Cmd.v

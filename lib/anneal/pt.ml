@@ -82,7 +82,7 @@ let run_read_packed ~ising ~params ~betas ?init ?stop ?on_sweep rng =
         let log_ratio =
           (betas.(a) -. betas.(b)) *. (Multispin.energy ms la -. Multispin.energy ms lb)
         in
-        if log_ratio >= 0. || Prng.float rng < Float.exp log_ratio then begin
+        if log_ratio >= 0. || Fields.accept_uphill (Prng.bits53 rng) (-.log_ratio) then begin
           lane_of_temp.(a) <- lb;
           lane_of_temp.(b) <- la;
           beta_by_lane.(la) <- betas.(b);
@@ -134,7 +134,7 @@ let run_read ~ising ~params ~betas ?init ?stop ?on_sweep rng =
         let log_ratio =
           (betas.(a) -. betas.(b)) *. (Fields.energy replicas.(a) -. Fields.energy replicas.(b))
         in
-        if log_ratio >= 0. || Prng.float rng < Float.exp log_ratio then begin
+        if log_ratio >= 0. || Fields.accept_uphill (Prng.bits53 rng) (-.log_ratio) then begin
           let tmp = replicas.(a) in
           replicas.(a) <- replicas.(b);
           replicas.(b) <- tmp;

@@ -129,7 +129,8 @@ let run_read_packed ~ising ~params ~beta ~gamma_hot ?init ?stop ?on_sweep rng =
       for l = 0 to p - 1 do
         d := !d +. (deltas.(l) /. pf)
       done;
-      if !d <= 0. || Prng.float rng < Float.exp (-.beta *. !d) then Multispin.flip ms i all
+      if !d <= 0. || Fields.accept_uphill (Prng.bits53 rng) (beta *. !d) then
+        Multispin.flip ms i all
     done;
     (match on_sweep with
     | None -> ()
@@ -184,7 +185,8 @@ let run_read ~ising ~params ~beta ~gamma_hot ?init ?stop ?on_sweep rng =
         let s = spin_sign bits i in
         let d_perp = 2. *. jp *. s *. (spin_sign up i +. spin_sign down i) in
         let delta = d_classical +. d_perp in
-        if delta <= 0. || Prng.float rng < Float.exp (-.beta *. delta) then Fields.flip slice i
+        if delta <= 0. || Fields.accept_uphill (Prng.bits53 rng) (beta *. delta) then
+          Fields.flip slice i
       done
     done;
     (* World-line moves: flip variable i in every slice; inter-slice terms
@@ -192,7 +194,7 @@ let run_read ~ising ~params ~beta ~gamma_hot ?init ?stop ?on_sweep rng =
     for i = 0 to n - 1 do
       let delta = ref 0. in
       Array.iter (fun slice -> delta := !delta +. (Fields.delta slice i /. pf)) slices;
-      if !delta <= 0. || Prng.float rng < Float.exp (-.beta *. !delta) then
+      if !delta <= 0. || Fields.accept_uphill (Prng.bits53 rng) (beta *. !delta) then
         Array.iter (fun slice -> Fields.flip slice i) slices
     done;
     (match on_sweep with

@@ -80,8 +80,15 @@ let flip t i =
   t.flips <- t.flips + 1;
   if t.refresh_every > 0 && t.flips >= t.refresh_every then recompute t
 
+(* A nonzero u makes a uniform of at least 2^-53 ~ 1.1e-16, more than
+   twice exp (-37.5) ~ 5.2e-17, so from x >= 37.5 on the comparison can
+   only fail and [exp] is skipped. u = 0 and NaN x still reach [exp],
+   which decides them as before. *)
+let[@inline] accept_uphill u x =
+  if u <> 0 && x >= 37.5 then false else float_of_int u *. 0x1.0p-53 < Float.exp (-.x)
+
 (* The one Metropolis sweep every scalar sampler runs. It lives here,
-   not in the samplers, so [delta], [flip] and the uniform draw are
+   not in the samplers, so [delta], [flip] and [accept_uphill] are
    same-module calls: they stay unboxed even when the build turns off
    cross-module inlining (dune's dev profile compiles with -opaque). The
    draw is [Prng.float]'s value, taken only when [delta > 0]. *)
@@ -89,7 +96,7 @@ let metropolis_sweep t ~rng ~beta =
   let accepted = ref 0 in
   for i = 0 to num_spins t - 1 do
     let d = delta t i in
-    if d <= 0. || float_of_int (Prng.bits53 rng) *. 0x1.0p-53 < Float.exp (-.beta *. d) then begin
+    if d <= 0. || accept_uphill (Prng.bits53 rng) (beta *. d) then begin
       flip t i;
       incr accepted
     end

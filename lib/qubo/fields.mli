@@ -62,13 +62,26 @@ val flip : t -> int -> unit
 (** Flips spin [i]: applies {!delta} to the energy, toggles the bit, and
     updates the neighbors' fields. O(degree i). *)
 
+val accept_uphill : int -> float -> bool
+(** [accept_uphill u x] is the uphill half of the Metropolis test:
+    [float_of_int u *. 0x1.0p-53 < Float.exp (-. x)] for a drawn
+    [u = Qsmt_util.Prng.bits53 rng] and [x = beta *. delta] (or
+    [-. log_ratio] for a replica swap). It returns that value bit for
+    bit, but decides without [exp] when [u <> 0] and [x >= 37.5]: every
+    nonzero uniform is at least [2^-53], more than twice [exp (-37.5)],
+    so those proposals reject. [u = 0] and a NaN [x] are decided by the
+    comparison itself. Every sampler that draws a uniform for an uphill
+    Metropolis move or a replica swap decides through this function. *)
+
 val metropolis_sweep : t -> rng:Qsmt_util.Prng.t -> beta:float -> int
 (** [metropolis_sweep t ~rng ~beta] proposes a flip of every spin once,
     in index order, and returns the number accepted. A proposal with
     [delta <= 0.] is always accepted without a draw; otherwise one
     uniform [u] (the value {!Qsmt_util.Prng.float} would return) is
-    drawn and the flip accepted iff [u < exp (-. beta *. delta)]. Does
-    not allocate. *)
+    drawn and the flip accepted iff [u < exp (-. beta *. delta)],
+    decided by {!accept_uphill}: [exp] is evaluated only when
+    [beta *. delta < 37.5], when it is NaN, or when the drawn uniform is
+    exactly 0. Does not allocate. *)
 
 val refresh : t -> unit
 (** Recomputes every field and the energy from the current spins in

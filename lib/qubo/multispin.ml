@@ -28,6 +28,13 @@ type t = {
   lane_buf : int array; (* decomposed mask bits, ascending lanes *)
   sign_buf : float array; (* 2 * new_sign per decomposed lane *)
   x_buf : float array; (* per-lane scaled delta beta*delta, bucketed accept only *)
+  (* The bucketed accept's hand-off between its phases. State fields,
+     not arguments and a tuple result: a float argument and a returned
+     pair would allocate at every site of every sweep whenever the call
+     is not inlined. *)
+  min_x : float array; (* one cell: the smallest scaled uphill delta *)
+  mutable acc_lo : int; (* accept halves, settled downhill lanes in, all lanes out *)
+  mutable acc_hi : int;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -162,6 +169,9 @@ let create ?(refresh_every = 0) ising spins_array =
       lane_buf = Array.make lanes 0;
       sign_buf = Array.make lanes 0.;
       x_buf = Array.make lanes 0.;
+      min_x = [| infinity |];
+      acc_lo = 0;
+      acc_hi = 0;
     }
   in
   pack t spins_array;
@@ -318,8 +328,9 @@ let next32 d =
   d.d3 <- rotl32 d.d3 11;
   result
 
-(* 53-bit uniform in [0,1) from two 32-bit words: 27 high + 26 low. *)
-let float53 d =
+(* 53-bit uniform in [0,1) from two 32-bit words: 27 high + 26 low.
+   Inlined, because a float returned from a call is boxed. *)
+let[@inline] float53 d =
   let a = next32 d in
   let b = next32 d in
   float_of_int (((a lsr 5) * 67108864) + (b lsr 6)) *. 0x1.0p-53
@@ -327,9 +338,9 @@ let float53 d =
 (* Phase 2 of the bucketed decision: reveal each undecided lane's
    uniform one octave per round word — every lane settles at its first
    set bit, at round g meaning u in [2^-(g+1), 2^-g). Scaled deltas come
-   from [x_buf] (phase 1 fills it, along with their minimum [min_x]);
-   [acc_lo]/[acc_hi] carry the already-settled downhill accepts in.
-   Returns the final accept halves. The settled decision: x <= g ln2
+   from [x_buf] (phase 1 fills it, and their minimum into [min_x]);
+   [acc_lo]/[acc_hi] carry the already-settled downhill accepts in and
+   the final accept halves out. The settled decision: x <= g ln2
    (p >= 2^-g > u) accepts, x >= (g+1) ln2 (p <= 2^-(g+1) <= u) rejects,
    and the boundary octave pays one float draw and one exp. The refine
    inequality v < p 2^(g+1) - 1 is the exact accept condition for ANY u
@@ -337,9 +348,10 @@ let float53 d =
    approximations — and when even the smallest x exceeds the round's
    upper boundary every hit lane rejects, so the whole per-lane pass is
    skipped (the common case once the system is cold). *)
-let settle_geometric t ~d ~min_x ~rem_lo ~rem_hi ~acc_lo ~acc_hi =
+let settle_geometric t ~d ~rem_lo ~rem_hi =
+  let min_x = t.min_x.(0) in
   let rem_lo = ref rem_lo and rem_hi = ref rem_hi in
-  let acc_lo = ref acc_lo and acc_hi = ref acc_hi in
+  let acc_lo = ref t.acc_lo and acc_hi = ref t.acc_hi in
   let g = ref 0 in
   while !rem_lo lor !rem_hi <> 0 do
     if !g >= 62 then begin
@@ -394,7 +406,8 @@ let settle_geometric t ~d ~min_x ~rem_lo ~rem_hi ~acc_lo ~acc_hi =
       incr g
     end
   done;
-  (!acc_lo, !acc_hi)
+  t.acc_lo <- !acc_lo;
+  t.acc_hi <- !acc_hi
 
 let accept_mask t ~draws:d ?only ~betas deltas =
   let lanes = t.lanes in
@@ -432,11 +445,11 @@ let accept_mask t ~draws:d ?only ~betas deltas =
       end
     end
   done;
-  let acc_lo, acc_hi =
-    settle_geometric t ~d ~min_x:!min_x ~rem_lo:!rem_lo ~rem_hi:!rem_hi ~acc_lo:!acc_lo
-      ~acc_hi:!acc_hi
-  in
-  join64 acc_lo acc_hi
+  t.min_x.(0) <- !min_x;
+  t.acc_lo <- !acc_lo;
+  t.acc_hi <- !acc_hi;
+  settle_geometric t ~d ~rem_lo:!rem_lo ~rem_hi:!rem_hi;
+  join64 t.acc_lo t.acc_hi
 
 (* Branchless per-lane sign select: indexing a 2-entry float array by
    the spin bit avoids a data-dependent branch the predictor cannot
@@ -479,11 +492,11 @@ let metropolis_sweep t ~draws:d ~beta =
         rem_hi := !rem_hi lor (1 lsl (l - 32))
       end
     done;
-    let acc_lo, acc_hi =
-      settle_geometric t ~d ~min_x:!min_x ~rem_lo:!rem_lo ~rem_hi:!rem_hi ~acc_lo:!acc_lo
-        ~acc_hi:!acc_hi
-    in
-    accepted := !accepted + flip_halves t i acc_lo acc_hi
+    t.min_x.(0) <- !min_x;
+    t.acc_lo <- !acc_lo;
+    t.acc_hi <- !acc_hi;
+    settle_geometric t ~d ~rem_lo:!rem_lo ~rem_hi:!rem_hi;
+    accepted := !accepted + flip_halves t i t.acc_lo t.acc_hi
   done;
   !accepted
 
@@ -497,12 +510,12 @@ let accept_mask_lockstep t ~rngs ~betas deltas =
   let top = if lanes < 32 then lanes - 1 else 31 in
   for l = 0 to top do
     let d = deltas.(l) in
-    if d <= 0. || Prng.float rngs.(l) < Float.exp (-.betas.(l) *. d) then
+    if d <= 0. || Fields.accept_uphill (Prng.bits53 rngs.(l)) (betas.(l) *. d) then
       acc_lo := !acc_lo lor (1 lsl l)
   done;
   for l = 32 to lanes - 1 do
     let d = deltas.(l) in
-    if d <= 0. || Prng.float rngs.(l) < Float.exp (-.betas.(l) *. d) then
+    if d <= 0. || Fields.accept_uphill (Prng.bits53 rngs.(l)) (betas.(l) *. d) then
       acc_hi := !acc_hi lor (1 lsl (l - 32))
   done;
   join64 !acc_lo !acc_hi

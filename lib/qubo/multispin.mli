@@ -126,7 +126,8 @@ val accept_mask : t -> draws:draws -> ?only:int64 -> betas:float array -> float 
     float draw and one [exp] per lane. The marginal accept probability
     per lane is {e exactly} [min 1 (exp (-beta·delta))]. [only]
     restricts the decision to the given lanes (others get a 0 bit and
-    consume nothing lane-specific). *)
+    consume nothing lane-specific). Allocates nothing but its boxed
+    [int64] result. *)
 
 val metropolis_sweep : t -> draws:draws -> beta:float -> int
 (** One full Metropolis sweep over every site and lane at a uniform
@@ -134,13 +135,14 @@ val metropolis_sweep : t -> draws:draws -> beta:float -> int
     pass per site with no [int64] round-trips or intermediate buffers.
     The accept decisions are drawn exactly as {!accept_mask} draws them.
     Returns the number of accepted lane-flips. This is the packed SA
-    fast path's inner loop. *)
+    fast path's inner loop. Does not allocate. *)
 
 val accept_mask_lockstep : t -> rngs:Qsmt_util.Prng.t array -> betas:float array -> float array -> int64
 (** Like {!accept_mask} but lane [l] decides with [rngs.(l)] using the
     scalar sweep's exact expression and draw discipline
     ([delta <= 0. || Prng.float rng < exp (-beta *. delta)] — no draw
-    consumed on downhill moves). A packed run stepping lanes with this
+    consumed on downhill moves, uphill moves decided by
+    {!Fields.accept_uphill}). A packed run stepping lanes with this
     mask is bit-identical to scalar runs seeded with the same streams.
     [rngs] and [betas] must have length ≥ [lanes t]. *)
 

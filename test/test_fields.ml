@@ -20,6 +20,7 @@ module Prng = Qsmt_util.Prng
 module Qubo = Qsmt_qubo.Qubo
 module Ising = Qsmt_qubo.Ising
 module Fields = Qsmt_qubo.Fields
+module Multispin = Qsmt_qubo.Multispin
 module Sampleset = Qsmt_anneal.Sampleset
 module Sampler = Qsmt_anneal.Sampler
 module Sa = Qsmt_anneal.Sa
@@ -29,6 +30,7 @@ module Tabu = Qsmt_anneal.Tabu
 module Greedy = Qsmt_anneal.Greedy
 module Topology = Qsmt_anneal.Topology
 module Spinglass = Qsmt_anneal.Spinglass
+module Schedule = Qsmt_anneal.Schedule
 module Constr = Qsmt_strtheory.Constr
 module Compile = Qsmt_strtheory.Compile
 module Rparser = Qsmt_regex.Parser
@@ -179,8 +181,30 @@ let minor_words_during f =
   f ();
   Gc.minor_words () -. before
 
+(* The comparison Fields.accept_uphill must reproduce, exp always
+   evaluated *)
+let uphill_reference u x = float_of_int u *. 0x1.0p-53 < Float.exp (-.x)
+
 let sweep_units =
   [
+    Alcotest.test_case "accept_uphill is the exp comparison at the edges" `Quick (fun () ->
+        List.iter
+          (fun u ->
+            List.iter
+              (fun x ->
+                Alcotest.(check bool)
+                  (Printf.sprintf "u=%d x=%h" u x)
+                  (uphill_reference u x) (Fields.accept_uphill u x))
+              [
+                36.7; Float.pred 37.5; 37.5; Float.succ 37.5; 700.; 745.1; 746.; infinity; nan;
+              ])
+          [ 0; 1; 2; 1 lsl 52; (1 lsl 53) - 1 ]);
+    qtest ~count:2000 "accept_uphill is the exp comparison"
+      QCheck2.Gen.(
+        pair
+          (oneof [ int_range 0 ((1 lsl 53) - 1); int_range 0 4 ])
+          (oneof [ float_range 0. 50.; float_range 0. 800.; float ]))
+      (fun (u, x) -> Fields.accept_uphill u x = uphill_reference u x);
     Alcotest.test_case "sweep matches the reference Metropolis loop" `Quick (fun () ->
         let ising = Ising.of_qubo (Lazy.force planted_king) in
         let n = Ising.num_spins ising in
@@ -188,12 +212,17 @@ let sweep_units =
         let swept = Fields.create ising (Bitvec.copy start) in
         let reference = Fields.create ising (Bitvec.copy start) in
         let rng_s = Prng.create 9 and rng_r = Prng.create 9 in
+        (* the cold end of the auto schedule puts proposals past the
+           exp-free rejection threshold *)
+        let cold = snd (Schedule.default_beta_range ising) in
+        let past_threshold = ref 0 in
         List.iter
           (fun beta ->
             let accepted = Fields.metropolis_sweep swept ~rng:rng_s ~beta in
             let expected = ref 0 in
             for i = 0 to n - 1 do
               let delta = Fields.delta reference i in
+              if beta *. delta >= 37.5 then incr past_threshold;
               if delta <= 0. || Prng.float rng_r < Float.exp (-.beta *. delta) then begin
                 Fields.flip reference i;
                 incr expected
@@ -205,7 +234,8 @@ let sweep_units =
               (Bitvec.to_string (Fields.spins reference))
               (Bitvec.to_string (Fields.spins swept));
             Alcotest.(check (float 0.)) "energy" (Fields.energy reference) (Fields.energy swept))
-          [ 0.1; 0.5; 1.; 2.; 5.; 20. ];
+          [ 0.1; 0.5; 1.; 2.; 5.; 20.; cold; cold ];
+        if !past_threshold = 0 then Alcotest.fail "no proposal reached the exp-free branch";
         Alcotest.(check int64) "rng position" (Prng.bits64 rng_r) (Prng.bits64 rng_s));
     Alcotest.test_case "sweep allocates nothing per proposal" `Quick (fun () ->
         let ising = Ising.of_qubo (Lazy.force planted_king) in
@@ -219,6 +249,35 @@ let sweep_units =
         in
         (* 6400 proposals; only the measurement's own boxed floats may show *)
         if words > 16. then Alcotest.failf "100 sweeps of 64 spins allocated %.0f words" words);
+    Alcotest.test_case "packed sweep allocates nothing, accept_mask only its mask" `Quick (fun () ->
+        let ising = Ising.of_qubo (Lazy.force planted_king) in
+        let n = Ising.num_spins ising in
+        let rng = Prng.create 3 in
+        let starts = Array.init Multispin.max_lanes (fun _ -> Bitvec.random rng n) in
+        let ms = Multispin.create ising starts in
+        let draws = Multispin.draws (Prng.create 9) in
+        let sweeps =
+          minor_words_during (fun () ->
+              for _ = 1 to 100 do
+                ignore (Multispin.metropolis_sweep ms ~draws ~beta:1.)
+              done)
+        in
+        let betas = Array.make Multispin.max_lanes 1. in
+        let deltas = Array.make Multispin.max_lanes 0. in
+        let masks =
+          minor_words_during (fun () ->
+              for _ = 1 to 100 do
+                for i = 0 to n - 1 do
+                  Multispin.deltas ms i deltas;
+                  ignore (Multispin.accept_mask ms ~draws ~betas deltas)
+                done
+              done)
+        in
+        if sweeps > 16. then
+          Alcotest.failf "100 packed sweeps of 64 sites x 64 lanes allocated %.0f words" sweeps;
+        (* 6400 calls; each boxes its int64 result (3 words), nothing else *)
+        if masks > (3. *. float_of_int (100 * n)) +. 16. then
+          Alcotest.failf "%d accept_mask calls allocated %.0f words" (100 * n) masks);
     Alcotest.test_case "Sa.sample allocates < 0.25 words per proposal" `Quick (fun () ->
         let q = Lazy.force planted_king in
         let reads = 4 and sweeps = 1000 in
