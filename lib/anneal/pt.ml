@@ -67,8 +67,8 @@ let run_read_packed ~ising ~params ~betas ?init ?stop ?on_sweep rng =
     let sweep = !sweep in
     for i = 0 to n - 1 do
       Multispin.deltas ms i deltas;
-      let acc = Multispin.accept_mask ms ~draws:dr ~betas:beta_by_lane deltas in
-      if acc <> 0L then Multispin.flip ms i acc
+      Multispin.decide ms ~draws:dr ~betas:beta_by_lane deltas;
+      ignore (Multispin.flip_decided ms i)
     done;
     note_best ();
     let swaps = ref 0 in

@@ -22,24 +22,16 @@ let default = { reads = 32; sweeps = 1000; schedule = None; seed = 0; domains = 
 let read_rng ~seed r = Prng.stream ~seed r
 
 (* The Metropolis loop over an already-built incremental state: O(1) per
-   proposal, O(degree) per accepted flip. *)
+   proposal, O(degree) per accepted flip. Returns the sweeps settled by
+   the frozen-tail exit (see {!Fields.anneal}). *)
 let anneal_fields ~rng ~schedule ?on_sweep ?stop fields =
-  let stopped () = match stop with Some f -> f () | None -> false in
-  let k = ref 0 in
-  let sweeps = Schedule.sweeps schedule in
-  while !k < sweeps && not (stopped ()) do
-    let accepted = Fields.metropolis_sweep fields ~rng ~beta:(Schedule.beta schedule !k) in
-    (match on_sweep with
-    | Some f -> f ~sweep:!k ~energy:(Fields.energy fields) ~accepted
-    | None -> ());
-    incr k
-  done
+  Fields.anneal fields ~rng ~betas:(Schedule.shared_betas schedule) ?on_sweep ?stop ()
 
 let anneal_ising ~rng ~schedule ?init ?on_sweep ?stop ising =
   let n = Ising.num_spins ising in
   let spins = match init with Some s -> Bitvec.copy s | None -> Bitvec.random rng n in
   let fields = Fields.create ising spins in
-  anneal_fields ~rng ~schedule ?on_sweep ?stop fields;
+  let (_ : int) = anneal_fields ~rng ~schedule ?on_sweep ?stop fields in
   (spins, Fields.energy fields)
 
 let descend_fields fields =
@@ -73,9 +65,10 @@ let sweep_stride sweeps = max 1 (sweeps / 32)
 (* Post-run throughput gauges shared by the sweep-loop samplers:
    [<name>.sweeps_per_s] and [<name>.flips_per_s] (flips = attempted
    Metropolis proposals, sweeps × spins — the same convention the flip
-   throughput bench uses). Nominal sweep counts: an early-exited read is
-   charged its full budget, which overstates throughput by at most the
-   truncated tail. *)
+   throughput bench uses). SA passes its nominal sweeps minus those its
+   frozen-tail exits skipped; a read cut short by [stop] is still charged
+   its full budget, which overstates throughput by at most the truncated
+   tail. *)
 let throughput_gauges telemetry ~name ~sweeps_done ~flips_done ~dt =
   if dt > 0. && sweeps_done > 0. then begin
     Telemetry.gauge telemetry (name ^ ".sweeps_per_s") (sweeps_done /. dt);
@@ -301,9 +294,11 @@ let setup ~who params init q =
 (* The read driver of both SA paths: [read r rng] produces read [r]'s
    final spins and energy from its own stream ([postprocess] included);
    the driver owns the [stop]/[on_read] polling, the per-read telemetry
-   and the [Parallel.init_array] loop. [~kernel] adds the throughput
-   gauges, which only simulated proposals have. *)
-let run_reads ~params ?stop ?on_read ~telemetry ~kernel ~sweeps ~n q read =
+   and the [Parallel.init_array] loop. [settled], given on the simulated
+   kernel only, sums the sweeps the reads' frozen-tail exits skipped; it
+   adds the [sa.settled_sweeps] counter and the throughput gauges, which
+   only simulated proposals have. *)
+let run_reads ~params ?stop ?on_read ?settled ~telemetry ~sweeps ~n q read =
   let stopped () = match stop with Some f -> f () | None -> false in
   let tracked = Telemetry.enabled telemetry in
   let run_read r =
@@ -319,16 +314,19 @@ let run_reads ~params ?stop ?on_read ~telemetry ~kernel ~sweeps ~n q read =
       Some out
     end
   in
-  let t0 = if tracked && kernel then Mclock.now () else 0. in
+  let t0 = if tracked && Option.is_some settled then Mclock.now () else 0. in
   let samples = Parallel.init_array ~telemetry ~domains:params.domains params.reads run_read in
-  if tracked && kernel then begin
+  (match settled with
+  | Some settled when tracked ->
     let done_reads =
       Array.fold_left (fun a s -> match s with Some _ -> a + 1 | None -> a) 0 samples
     in
-    let sweeps_done = float_of_int (done_reads * sweeps) in
+    let settled = Atomic.get settled in
+    Telemetry.count telemetry "sa.settled_sweeps" settled;
+    let sweeps_done = float_of_int ((done_reads * sweeps) - settled) in
     throughput_gauges telemetry ~name:"sa" ~sweeps_done
       ~flips_done:(sweeps_done *. float_of_int n) ~dt:(Mclock.now () -. t0)
-  end;
+  | _ -> ());
   Sampleset.of_tracked q (List.filter_map Fun.id (Array.to_list samples))
 
 (* The reads of a factorizable problem, drawn instead of simulated:
@@ -345,7 +343,7 @@ let closed_form ~params ?init ?stop ?on_read ~telemetry ~schedule q ising uf =
         ("largest", Telemetry.Int cf.largest);
         ("states", Telemetry.Int cf.states);
       ];
-  run_reads ~params ?stop ?on_read ~telemetry ~kernel:false ~sweeps:(Schedule.sweeps schedule)
+  run_reads ~params ?stop ?on_read ~telemetry ~sweeps:(Schedule.sweeps schedule)
     ~n q (fun r rng ->
       let classes = if r = 0 then cf.warm else cf.cold in
       let spins = Bitvec.create n in
@@ -389,7 +387,8 @@ let simulate ~params ?init ?stop ?on_read ~telemetry ~schedule q ising =
   let tracked = Telemetry.enabled telemetry in
   let sweeps = Schedule.sweeps schedule in
   let stride = sweep_stride sweeps in
-  run_reads ~params ?stop ?on_read ~telemetry ~kernel:true ~sweeps ~n q (fun r rng ->
+  let settled = Atomic.make 0 in
+  run_reads ~params ?stop ?on_read ~settled ~telemetry ~sweeps ~n q (fun r rng ->
       (* Warm start: read 0 anneals from the caller's seed assignment
          (reverse-anneal style); the other reads stay random so the set
          retains diversity. *)
@@ -414,7 +413,8 @@ let simulate ~params ?init ?stop ?on_read ~telemetry ~schedule q ising =
                     ("acceptance", Telemetry.Float (float_of_int accepted /. float_of_int n));
                   ])
       in
-      anneal_fields ~rng ~schedule ?on_sweep ?stop fields;
+      let skipped = anneal_fields ~rng ~schedule ?on_sweep ?stop fields in
+      if tracked && skipped > 0 then ignore (Atomic.fetch_and_add settled skipped);
       if params.postprocess then descend_fields fields;
       (Fields.spins fields, Fields.energy fields))
 

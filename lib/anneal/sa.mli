@@ -24,7 +24,15 @@
     the kernel's; the per-seed {e bits} are not, because the random
     stream is consumed differently. Every other input runs the simulated
     kernel, unchanged. Eligibility depends on the input alone: there is
-    no flag. *)
+    no flag.
+
+    {b Frozen tail.} A simulated read ends early once a sweep accepts
+    nothing and leaves every spin uphill with [beta *. delta >= 37.5] at
+    the next β: on the non-decreasing schedule every remaining sweep
+    must reject every proposal, so its spins and energy are final
+    ({!Qsmt_qubo.Fields.anneal}). The skipped sweeps draw no uniforms;
+    a read differs from running them only if one of those draws would
+    have been exactly 0 (probability 2^-53 each). *)
 
 type params = {
   reads : int;  (** independent annealing runs (default 32) *)
@@ -98,8 +106,11 @@ val sample :
     [sa.reads] counter, an [sa.sweeps] counter (nominal: [sweeps] per
     completed read) and an [sa.read_energy] histogram on both paths. The
     simulated kernel adds strided [sa.sweep] events (read, sweep, β,
-    tracked energy, acceptance rate) and the [sa.sweeps_per_s] /
-    [sa.flips_per_s] gauges; the closed form emits one [sa.closed_form]
+    tracked energy, acceptance rate; a frozen tail's skipped sweeps
+    appear with their unchanged energy and zero acceptance), an
+    [sa.settled_sweeps] counter (the sweeps frozen-tail exits skipped)
+    and the [sa.sweeps_per_s] / [sa.flips_per_s] gauges, which count
+    only the sweeps actually simulated; the closed form emits one [sa.closed_form]
     event instead (components, distinct component classes, largest
     component, states propagated), since it makes no proposals.
     Instrumentation never touches the PRNG, so samples are bit-identical
@@ -129,9 +140,11 @@ type packed_mode =
       (** Parity path: each lane consumes its own per-read stream with
           the scalar sweep's exact conditional-draw discipline
           ({!Qsmt_qubo.Multispin.accept_mask_lockstep}); decoded samples
-          are bit-identical to {!sample}'s (with [postprocess] off).
-          Slower — this is the oracle-check vehicle, not the perf
-          path. *)
+          are bit-identical to {!sample}'s (with [postprocess] off),
+          except where a draw that {!sample}'s frozen-tail exit skips
+          would have been exactly 0 (probability 2^-53 per skipped
+          draw): Lockstep runs every sweep. Slower — this is the
+          oracle-check vehicle, not the perf path. *)
 
 val run_packed :
   ?params:params ->
@@ -171,12 +184,11 @@ val anneal_ising :
 (** One annealing read over an Ising problem: starts from [init] (random
     if omitted), runs the full schedule, returns the final spin
     configuration and its (incrementally tracked) energy. Exposed for
-    composition (the hardware model reuses it on embedded problems).
-    The whole read runs on a {!Qsmt_qubo.Fields} state, so proposals are
-    O(1) and the energy is always available; [on_sweep] observes it after
-    every sweep together with the number of accepted flips that sweep
-    (used by {!Convergence} to record trajectories and by telemetry for
-    acceptance rates). The bare no-callback loop is kept separate so the
-    benchmarked kernel pays nothing when unobserved. [stop]
-    is polled between sweeps; when it returns [true] the read returns its
-    current configuration immediately. *)
+    composition ({!Convergence} records trajectories with it).
+    The whole read runs on {!Qsmt_qubo.Fields.anneal}, so proposals are
+    O(1), the energy is always available, the read ends at a frozen tail
+    (see above) and no sweep allocates; [on_sweep] observes the energy
+    after every sweep, skipped ones included, together with the number
+    of accepted flips that sweep. [stop] is polled between sweeps; when
+    it returns [true] the read returns its current configuration
+    immediately. *)

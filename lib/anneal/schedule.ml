@@ -61,6 +61,7 @@ let auto ?kind ~sweeps ising =
 let sweeps t = Array.length t.betas
 let beta t k = t.betas.(k)
 let betas t = Array.copy t.betas
+let shared_betas t = t.betas
 let kind t = t.kind
 
 let pp ppf t =

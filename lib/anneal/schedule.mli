@@ -31,5 +31,12 @@ val beta : t -> int -> float
     in [k]. *)
 
 val betas : t -> float array
+(** A fresh copy of every sweep's β. *)
+
+val shared_betas : t -> float array
+(** The schedule's own β array, not a copy, for kernels that read β
+    straight into an unboxed sweep ({!Qsmt_qubo.Fields.anneal}). Must
+    not be mutated. *)
+
 val kind : t -> kind
 val pp : Format.formatter -> t -> unit

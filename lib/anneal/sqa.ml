@@ -74,11 +74,12 @@ let run_read_packed ~ising ~params ~beta ~gamma_hot ?init ?stop ?on_sweep rng =
     let bit = Int64.shift_left 1L l in
     if l land 1 = 0 then even := Int64.logor !even bit else odd := Int64.logor !odd bit
   done;
+  (* prebuilt options, so passing one to [decide] allocates nothing *)
   let passes =
-    if p land 1 = 0 then [ !even; !odd ]
+    if p land 1 = 0 then [| Some !even; Some !odd |]
     else begin
       let wrap = Int64.shift_left 1L (p - 1) in
-      [ Int64.logand !even (Int64.lognot wrap); !odd; wrap ]
+      [| Some (Int64.logand !even (Int64.lognot wrap)); Some !odd; Some wrap |]
     end
   in
   let betas = Array.make p beta in
@@ -95,31 +96,31 @@ let run_read_packed ~ising ~params ~beta ~gamma_hot ?init ?stop ?on_sweep rng =
     (* Local moves: per site, each colored pass re-reads the word (earlier
        passes' flips must be visible) and decides its lanes at once. *)
     for i = 0 to n - 1 do
-      List.iter
-        (fun only ->
-          let w = Multispin.word ms i in
-          let up =
-            Int64.logand
-              (Int64.logor (Int64.shift_right_logical w 1) (Int64.shift_left w (p - 1)))
-              all
-          and down =
-            Int64.logand
-              (Int64.logor (Int64.shift_left w 1) (Int64.shift_right_logical w (p - 1)))
-              all
+      for pass = 0 to Array.length passes - 1 do
+        let only = passes.(pass) in
+        let w = Multispin.word ms i in
+        let up =
+          Int64.logand
+            (Int64.logor (Int64.shift_right_logical w 1) (Int64.shift_left w (p - 1)))
+            all
+        and down =
+          Int64.logand
+            (Int64.logor (Int64.shift_left w 1) (Int64.shift_right_logical w (p - 1)))
+            all
+        in
+        let dis_up = Int64.logxor w up and dis_down = Int64.logxor w down in
+        Multispin.deltas ms i deltas;
+        for l = 0 to p - 1 do
+          let au =
+            if Int64.logand (Int64.shift_right_logical dis_up l) 1L = 0L then 1. else -1.
+          and ad =
+            if Int64.logand (Int64.shift_right_logical dis_down l) 1L = 0L then 1. else -1.
           in
-          let dis_up = Int64.logxor w up and dis_down = Int64.logxor w down in
-          Multispin.deltas ms i deltas;
-          for l = 0 to p - 1 do
-            let au =
-              if Int64.logand (Int64.shift_right_logical dis_up l) 1L = 0L then 1. else -1.
-            and ad =
-              if Int64.logand (Int64.shift_right_logical dis_down l) 1L = 0L then 1. else -1.
-            in
-            deltas.(l) <- (deltas.(l) /. pf) +. (jp2 *. (au +. ad))
-          done;
-          let acc = Multispin.accept_mask ms ~draws:dr ~only ~betas deltas in
-          if acc <> 0L then Multispin.flip ms i acc)
-        passes
+          deltas.(l) <- (deltas.(l) /. pf) +. (jp2 *. (au +. ad))
+        done;
+        Multispin.decide ms ~draws:dr ?only ~betas deltas;
+        ignore (Multispin.flip_decided ms i)
+      done
     done;
     (* World-line moves: inter-slice terms cancel, the cost is the mean
        classical delta, and the accepted flip is one word-wide XOR. *)

@@ -84,15 +84,45 @@ let flip t i =
    twice exp (-37.5) ~ 5.2e-17, so from x >= 37.5 on the comparison can
    only fail and [exp] is skipped. u = 0 and NaN x still reach [exp],
    which decides them as before. *)
+let uphill_cutoff = 37.5
+
 let[@inline] accept_uphill u x =
-  if u <> 0 && x >= 37.5 then false else float_of_int u *. 0x1.0p-53 < Float.exp (-.x)
+  if u <> 0 && x >= uphill_cutoff then false else float_of_int u *. 0x1.0p-53 < Float.exp (-.x)
+
+(* Every spin uphill with beta *. d past [accept_uphill]'s cutoff: a
+   sweep at beta, or at any larger beta, rejects every proposal unless
+   its uniform is exactly 0. Stops at the first spin that fails, and a
+   NaN delta fails. *)
+let[@inline] frozen_at t beta =
+  let n = num_spins t in
+  let i = ref 0 in
+  while
+    !i < n
+    &&
+    let d = delta t !i in
+    d > 0. && beta *. d >= uphill_cutoff
+  do
+    incr i
+  done;
+  !i = n
+
+(* No beta from sweep [k] on falls below [betas.(k)], so a state
+   [frozen_at] that beta stays frozen for the rest of the schedule. A
+   NaN after [k] fails. Schedule.make only builds such arrays; it is checked here,
+   once per exit, rather than assumed. *)
+let never_below (betas : float array) k =
+  let b = Array.unsafe_get betas k and j = ref (k + 1) in
+  while !j < Array.length betas && Array.unsafe_get betas !j >= b do
+    incr j
+  done;
+  !j = Array.length betas
 
 (* The one Metropolis sweep every scalar sampler runs. It lives here,
    not in the samplers, so [delta], [flip] and [accept_uphill] are
    same-module calls: they stay unboxed even when the build turns off
    cross-module inlining (dune's dev profile compiles with -opaque). The
    draw is [Prng.float]'s value, taken only when [delta > 0]. *)
-let metropolis_sweep t ~rng ~beta =
+let[@inline] sweep_at t rng beta =
   let accepted = ref 0 in
   for i = 0 to num_spins t - 1 do
     let d = delta t i in
@@ -102,6 +132,42 @@ let metropolis_sweep t ~rng ~beta =
     end
   done;
   !accepted
+
+let metropolis_sweep t ~rng ~beta = sweep_at t rng beta
+
+(* The schedule loop, here rather than in the sampler so each beta goes
+   from the array into the inlined sweep without being boxed. After a
+   sweep that accepted nothing, [frozen_at] the next beta means every
+   remaining sweep rejects everything, provided no later beta is smaller:
+   beta *. d then never falls back under the cutoff while no spin moves.
+   The read ends there, and [on_sweep] still sees each skipped sweep with
+   its unchanged energy. *)
+let anneal t ~rng ~betas ?on_sweep ?stop () =
+  let sweeps = Array.length betas in
+  let stopped () = match stop with Some f -> f () | None -> false in
+  let observe k accepted =
+    match on_sweep with Some f -> f ~sweep:k ~energy:t.energy.(0) ~accepted | None -> ()
+  in
+  let k = ref 0 and settled = ref 0 in
+  while !k < sweeps && not (stopped ()) do
+    let accepted = sweep_at t rng (Array.unsafe_get betas !k) in
+    observe !k accepted;
+    incr k;
+    if
+      accepted = 0 && !k < sweeps
+      && frozen_at t (Array.unsafe_get betas !k)
+      && never_below betas !k
+    then begin
+      settled := sweeps - !k;
+      if Option.is_some on_sweep then
+        while !k < sweeps && not (stopped ()) do
+          observe !k 0;
+          incr k
+        done;
+      k := sweeps
+    end
+  done;
+  !settled
 
 let drift t = Float.abs (t.energy.(0) -. Ising.energy t.ising t.spins)
 

@@ -62,6 +62,10 @@ val flip : t -> int -> unit
 (** Flips spin [i]: applies {!delta} to the energy, toggles the bit, and
     updates the neighbors' fields. O(degree i). *)
 
+val uphill_cutoff : float
+(** [37.5]: the scaled uphill cost [beta *. delta] from which a nonzero
+    uniform always rejects (see {!accept_uphill}). *)
+
 val accept_uphill : int -> float -> bool
 (** [accept_uphill u x] is the uphill half of the Metropolis test:
     [float_of_int u *. 0x1.0p-53 < Float.exp (-. x)] for a drawn
@@ -82,6 +86,40 @@ val metropolis_sweep : t -> rng:Qsmt_util.Prng.t -> beta:float -> int
     decided by {!accept_uphill}: [exp] is evaluated only when
     [beta *. delta < 37.5], when it is NaN, or when the drawn uniform is
     exactly 0. Does not allocate. *)
+
+val anneal :
+  t ->
+  rng:Qsmt_util.Prng.t ->
+  betas:float array ->
+  ?on_sweep:(sweep:int -> energy:float -> accepted:int -> unit) ->
+  ?stop:(unit -> bool) ->
+  unit ->
+  int
+(** [anneal t ~rng ~betas ()] runs one {!metropolis_sweep} per element
+    of [betas], in order, and returns the number of sweeps it
+    {e settled} instead of running (see below). [betas] is read, never
+    written. [on_sweep] observes the tracked energy and the accepted
+    count after every sweep; [stop] is polled before each sweep and ends
+    the loop when it returns [true].
+
+    {b Frozen tail.} After a sweep that accepts no flip, with β the next
+    sweep's, the loop checks that every spin is uphill past
+    {!accept_uphill}'s exp-free cutoff ([delta t i > 0.] and
+    [beta *. delta t i >= 37.5], stopping at the first spin that fails;
+    a NaN delta fails) and that no later element of [betas] is below β.
+    When both hold, every remaining sweep must reject every proposal (no
+    spin moves, so every [beta *. delta] stays past the cutoff), and the
+    loop ends there: spins and energy are already final. [on_sweep]
+    still sees each skipped sweep, with the unchanged energy and
+    [accepted = 0]. The skipped sweeps draw no uniforms, so the result
+    differs from running every sweep only if one of those draws would
+    have been exactly 0 (probability 2^-53 each), in which case the full
+    loop accepts a move whose Metropolis probability
+    [exp (-. beta *. delta)] is below [exp (-37.5)].
+
+    Allocates nothing per sweep (β goes from [betas] into the sweep
+    unboxed), only a few words per call, plus one boxed energy per
+    [on_sweep] call. *)
 
 val refresh : t -> unit
 (** Recomputes every field and the energy from the current spins in

@@ -409,15 +409,11 @@ let settle_geometric t ~d ~rem_lo ~rem_hi =
   t.acc_lo <- !acc_lo;
   t.acc_hi <- !acc_hi
 
-let accept_mask t ~draws:d ?only ~betas deltas =
+(* The bucketed accept decision for the lanes in [only_lo]/[only_hi]
+   (live lanes only), left in [acc_lo]/[acc_hi]: native halves, so no
+   caller pays for a boxed int64. *)
+let decide_halves t d ~only_lo ~only_hi betas deltas =
   let lanes = t.lanes in
-  let only_lo, only_hi =
-    match only with
-    | None -> (t.lane_lo, t.lane_hi)
-    | Some m ->
-      let lo, hi = split64 m in
-      (lo land t.lane_lo, hi land t.lane_hi)
-  in
   let acc_lo = ref 0 and acc_hi = ref 0 in
   let rem_lo = ref 0 and rem_hi = ref 0 in
   let min_x = ref infinity in
@@ -448,8 +444,21 @@ let accept_mask t ~draws:d ?only ~betas deltas =
   t.min_x.(0) <- !min_x;
   t.acc_lo <- !acc_lo;
   t.acc_hi <- !acc_hi;
-  settle_geometric t ~d ~rem_lo:!rem_lo ~rem_hi:!rem_hi;
+  settle_geometric t ~d ~rem_lo:!rem_lo ~rem_hi:!rem_hi
+
+let decide t ~draws:d ?only ~betas deltas =
+  match only with
+  | None -> decide_halves t d ~only_lo:t.lane_lo ~only_hi:t.lane_hi betas deltas
+  | Some m ->
+    let only_lo = Int64.to_int (Int64.logand m 0xFFFFFFFFL) land t.lane_lo
+    and only_hi = Int64.to_int (Int64.shift_right_logical m 32) land t.lane_hi in
+    decide_halves t d ~only_lo ~only_hi betas deltas
+
+let accept_mask t ~draws ?only ~betas deltas =
+  decide t ~draws ?only ~betas deltas;
   join64 t.acc_lo t.acc_hi
+
+let flip_decided t i = flip_halves t i t.acc_lo t.acc_hi
 
 (* Branchless per-lane sign select: indexing a 2-entry float array by
    the spin bit avoids a data-dependent branch the predictor cannot

@@ -23,7 +23,8 @@
     Acceptance comes in two flavors (see DESIGN.md, "Multi-spin
     coding"):
 
-    - {!accept_mask} — the fast path: exact Metropolis for all lanes
+    - {!accept_mask} (and its allocation-free form {!decide} with
+      {!flip_decided}) — the fast path: exact Metropolis for all lanes
       from O(log lanes) PRNG words via geometric octave bucketing. The
       per-lane accept {e distribution} is exactly the scalar sampler's;
       only the PRNG consumption pattern differs.
@@ -127,7 +128,20 @@ val accept_mask : t -> draws:draws -> ?only:int64 -> betas:float array -> float 
     per lane is {e exactly} [min 1 (exp (-beta·delta))]. [only]
     restricts the decision to the given lanes (others get a 0 bit and
     consume nothing lane-specific). Allocates nothing but its boxed
-    [int64] result. *)
+    [int64] result (3 words); loops that decide at every site use
+    {!decide} and {!flip_decided} instead. *)
+
+val decide : t -> draws:draws -> ?only:int64 -> betas:float array -> float array -> unit
+(** [decide t ~draws ?only ~betas deltas] makes {!accept_mask}'s
+    decision and keeps it in the state instead of returning it, for
+    {!flip_decided} to apply: same draws, same decisions. Does not
+    allocate (a caller that passes [~only] allocates its [Some]; pass a
+    prebuilt option with [?only] to avoid that). *)
+
+val flip_decided : t -> int -> int
+(** [flip_decided t i] flips site [i] in the lanes the last {!decide}
+    accepted, as {!flip} would with {!accept_mask}'s result, and returns
+    the number of lanes flipped. Does not allocate. *)
 
 val metropolis_sweep : t -> draws:draws -> beta:float -> int
 (** One full Metropolis sweep over every site and lane at a uniform

@@ -249,7 +249,7 @@ let sweep_units =
         in
         (* 6400 proposals; only the measurement's own boxed floats may show *)
         if words > 16. then Alcotest.failf "100 sweeps of 64 spins allocated %.0f words" words);
-    Alcotest.test_case "packed sweep allocates nothing, accept_mask only its mask" `Quick (fun () ->
+    Alcotest.test_case "packed sweep allocates nothing, nor does decide" `Quick (fun () ->
         let ising = Ising.of_qubo (Lazy.force planted_king) in
         let n = Ising.num_spins ising in
         let rng = Prng.create 3 in
@@ -264,6 +264,16 @@ let sweep_units =
         in
         let betas = Array.make Multispin.max_lanes 1. in
         let deltas = Array.make Multispin.max_lanes 0. in
+        let decided =
+          minor_words_during (fun () ->
+              for _ = 1 to 100 do
+                for i = 0 to n - 1 do
+                  Multispin.deltas ms i deltas;
+                  Multispin.decide ms ~draws ~betas deltas;
+                  ignore (Multispin.flip_decided ms i)
+                done
+              done)
+        in
         let masks =
           minor_words_during (fun () ->
               for _ = 1 to 100 do
@@ -275,6 +285,10 @@ let sweep_units =
         in
         if sweeps > 16. then
           Alcotest.failf "100 packed sweeps of 64 sites x 64 lanes allocated %.0f words" sweeps;
+        (* 6400 decisions and flips, the per-site step of packed PT and
+           SQA: only the measurement's own boxed floats may show *)
+        if decided > 16. then
+          Alcotest.failf "%d decide + flip_decided calls allocated %.0f words" (100 * n) decided;
         (* 6400 calls; each boxes its int64 result (3 words), nothing else *)
         if masks > (3. *. float_of_int (100 * n)) +. 16. then
           Alcotest.failf "%d accept_mask calls allocated %.0f words" (100 * n) masks);
@@ -286,6 +300,317 @@ let sweep_units =
         let per_proposal = words /. float_of_int (reads * sweeps * Qubo.num_vars q) in
         if per_proposal >= 0.25 then
           Alcotest.failf "Sa.sample allocated %.3f words per proposal" per_proposal);
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* The frozen-tail exit of Fields.anneal (and so of every SA read): once
+   a zero-accept sweep leaves every spin uphill past the exp-free cutoff
+   at the next beta, the read ends with the trajectory replayed. *)
+
+module Telemetry = Qsmt_util.Telemetry
+
+let planted_glass ~seed topology =
+  let q, _, _ =
+    Spinglass.planted ~rng:(Prng.create seed) ~coupling:Spinglass.Gaussian (Topology.graph topology)
+  in
+  q
+
+(* Steepest descent, ties to the lowest index: Sa's [postprocess]. *)
+let descend_reference fields =
+  let n = Fields.num_spins fields in
+  let improved = ref true in
+  while !improved do
+    improved := false;
+    let best_i = ref (-1) and best_delta = ref 0. in
+    for i = 0 to n - 1 do
+      let d = Fields.delta fields i in
+      if d < !best_delta then begin
+        best_delta := d;
+        best_i := i
+      end
+    done;
+    if !best_i >= 0 then begin
+      Fields.flip fields !best_i;
+      improved := true
+    end
+  done
+
+type reference_read = {
+  ref_spins : string;
+  ref_energy : float;
+  trajectory : (int * float * int) list;  (** (sweep, energy, accepted) per sweep *)
+  exit_at : int option;  (** the first sweep the exit rule allows skipping *)
+}
+
+(* The exit rule, written out: every spin strictly uphill with
+   beta *. delta at or past 37.5. *)
+let frozen_reference fields beta =
+  List.for_all
+    (fun i ->
+      let d = Fields.delta fields i in
+      d > 0. && beta *. d >= 37.5)
+    (List.init (Fields.num_spins fields) Fun.id)
+
+(* One read with [metropolis_sweep] over every beta, noting where the
+   exit rule first holds: after a zero-accept sweep, frozen at the next
+   beta. *)
+let reference_read ising ~betas ~rng start =
+  let fields = Fields.create ising start in
+  let exit_at = ref None and trajectory = ref [] in
+  Array.iteri
+    (fun k beta ->
+      let accepted = Fields.metropolis_sweep fields ~rng ~beta in
+      trajectory := (k, Fields.energy fields, accepted) :: !trajectory;
+      if
+        !exit_at = None && accepted = 0
+        && k + 1 < Array.length betas
+        && frozen_reference fields betas.(k + 1)
+      then exit_at := Some (k + 1))
+    betas;
+  ( fields,
+    {
+      ref_spins = Bitvec.to_string (Fields.spins fields);
+      ref_energy = Fields.energy fields;
+      trajectory = List.rev !trajectory;
+      exit_at = !exit_at;
+    } )
+
+let step = Alcotest.(triple int (float 0.) int)
+
+(* Every read of [Sa.anneal_ising] against the reference loop: spins,
+   energy and the full on_sweep trajectory; then Sa.sample's reads
+   (postprocess on and off) against the reference reads, with the
+   settled-sweep counter equal to what the reference predicts. Returns
+   the number of reads whose exit fired. *)
+let check_exit_differential label q ~seed ~sweeps ~init =
+  let ising = Ising.of_qubo q in
+  let n = Ising.num_spins ising in
+  let schedule = Schedule.auto ~sweeps ising in
+  let betas = Schedule.betas schedule in
+  let reads = 6 in
+  let start r rng =
+    match init with Some b when r = 0 -> Bitvec.copy b | _ -> Bitvec.random rng n
+  in
+  let fired = ref 0 and settled = ref 0 in
+  let references =
+    List.init reads (fun r ->
+        let rng = Prng.stream ~seed r in
+        reference_read ising ~betas ~rng (start r rng))
+  in
+  List.iteri
+    (fun r (_, expected) ->
+      let what = Printf.sprintf "%s read %d" label r in
+      let rng = Prng.stream ~seed r in
+      let observed = ref [] in
+      let spins, energy =
+        Sa.anneal_ising ~rng ~schedule
+          ?init:(if r = 0 then init else None)
+          ~on_sweep:(fun ~sweep ~energy ~accepted ->
+            observed := (sweep, energy, accepted) :: !observed)
+          ising
+      in
+      Alcotest.(check (list step)) (what ^ ": trajectory") expected.trajectory (List.rev !observed);
+      Alcotest.(check string) (what ^ ": spins") expected.ref_spins (Bitvec.to_string spins);
+      Alcotest.(check (float 0.)) (what ^ ": energy") expected.ref_energy energy;
+      match expected.exit_at with
+      | Some k ->
+        incr fired;
+        settled := !settled + (sweeps - k)
+      | None -> ())
+    references;
+  List.iter
+    (fun postprocess ->
+      let telemetry = Telemetry.collector () in
+      let params = { Sa.default with Sa.reads; sweeps; seed; postprocess } in
+      let got = Sa.sample ~params ?init ~telemetry q in
+      let expected =
+        Sampleset.of_tracked q
+          (List.map
+             (fun (fields, _) ->
+               (* descends in place, from the annealed state's tracked
+                  fields as Sa does: the postprocess run comes last *)
+               if postprocess then descend_reference fields;
+               (Bitvec.copy (Fields.spins fields), Fields.energy fields))
+             references)
+      in
+      let entries s =
+        List.map
+          (fun e -> (Bitvec.to_string e.Sampleset.bits, e.Sampleset.energy, e.Sampleset.occurrences))
+          (Sampleset.entries s)
+      in
+      let what = Printf.sprintf "%s postprocess=%b" label postprocess in
+      Alcotest.(check (list (triple string (float 0.) int))) (what ^ ": reads") (entries expected) (entries got);
+      Alcotest.(check (option int))
+        (what ^ ": sa.settled_sweeps") (Some !settled)
+        (Telemetry.find_counter telemetry "sa.settled_sweeps");
+      Alcotest.(check (option int))
+        (what ^ ": sa.sweeps stays nominal") (Some (reads * sweeps))
+        (Telemetry.find_counter telemetry "sa.sweeps"))
+    [ false; true ];
+  !fired
+
+(* A local minimum built by hand: no couplers, every spin down, so
+   spin i's delta is 2 h_i. *)
+let uncoupled_down fields_h =
+  let b = Qubo.builder () in
+  (* QUBO x_i = (1 + s_i) / 2: a linear term c x_i is an Ising field c/2 *)
+  Array.iteri (fun i h -> Qubo.set b i i (2. *. h)) fields_h;
+  let ising = Ising.of_qubo (Qubo.freeze ~num_vars:(Array.length fields_h) b) in
+  Fields.create ising (Bitvec.create (Array.length fields_h))
+
+let flat_betas beta sweeps = Array.make sweeps beta
+
+(* Fields.anneal against metropolis_sweep over every beta on the same
+   stream: final state, trajectory, and the stream position afterwards
+   (equal only when no draw was skipped). *)
+let lockstep_with_reference ~betas make =
+  let exit_fields = make () and ref_fields = make () in
+  let rng_e = Prng.create 11 and rng_r = Prng.create 11 in
+  let observed = ref [] in
+  let settled =
+    Fields.anneal exit_fields ~rng:rng_e ~betas
+      ~on_sweep:(fun ~sweep ~energy ~accepted -> observed := (sweep, energy, accepted) :: !observed)
+      ()
+  in
+  let trajectory =
+    Array.to_list
+      (Array.mapi
+         (fun k beta ->
+           let accepted = Fields.metropolis_sweep ref_fields ~rng:rng_r ~beta in
+           (k, Fields.energy ref_fields, accepted))
+         betas)
+  in
+  Alcotest.(check (list step)) "trajectory" trajectory (List.rev !observed);
+  Alcotest.(check string)
+    "spins"
+    (Bitvec.to_string (Fields.spins ref_fields))
+    (Bitvec.to_string (Fields.spins exit_fields));
+  (settled, Prng.bits64 rng_e = Prng.bits64 rng_r)
+
+let exit_units =
+  [
+    Alcotest.test_case "exit matches the full loop on king and Chimera glasses" `Quick (fun () ->
+        let fired = ref 0 and reads = ref 0 in
+        List.iter
+          (fun (name, topology) ->
+            for seed = 1 to 8 do
+              let q = planted_glass ~seed topology in
+              let n = Qubo.num_vars q in
+              List.iter
+                (fun init ->
+                  let label =
+                    Printf.sprintf "%s seed %d%s" name seed (if init = None then "" else " init")
+                  in
+                  fired := !fired + check_exit_differential label q ~seed ~sweeps:400 ~init;
+                  reads := !reads + 6)
+                [ None; Some (Bitvec.random (Prng.create (100 + seed)) n) ]
+            done)
+          [ ("king 8x8", Topology.king ~rows:8 ~cols:8); ("chimera C(3)", Topology.chimera ~m:3 ()) ];
+        (* the cold end of the auto schedule freezes nearly every read *)
+        if !fired * 2 < !reads then Alcotest.failf "the exit fired on %d of %d reads" !fired !reads);
+    Alcotest.test_case "just below the cutoff the read runs every sweep" `Quick (fun () ->
+        (* the cutoff is where the smallest nonzero uniform, 2^-53,
+           already fails the exp comparison *)
+        Alcotest.(check bool)
+          "u = 1 rejects at the cutoff" false
+          (uphill_reference 1 Fields.uphill_cutoff);
+        let below = Float.pred Fields.uphill_cutoff /. 2. in
+        let settled, lockstep =
+          lockstep_with_reference ~betas:(flat_betas 1. 50) (fun () ->
+              uncoupled_down [| 40.; below; 40. |])
+        in
+        Alcotest.(check int) "no sweep settled" 0 settled;
+        Alcotest.(check bool) "every draw taken" true lockstep;
+        (* at the cutoff itself the same state is frozen: sweep 0 accepts
+           nothing, so sweeps 1..49 settle *)
+        let settled, lockstep =
+          lockstep_with_reference ~betas:(flat_betas 1. 50) (fun () ->
+              uncoupled_down [| 40.; Fields.uphill_cutoff /. 2.; 40. |])
+        in
+        Alcotest.(check int) "settled at the cutoff" 49 settled;
+        Alcotest.(check bool) "skipped draws" false lockstep);
+    Alcotest.test_case "a zero-field or downhill spin blocks the exit" `Quick (fun () ->
+        (* delta 0 is always accepted: neither its sign (>= 0) nor any
+           beta, infinite included, makes the state frozen *)
+        List.iter
+          (fun beta ->
+            let settled, lockstep =
+              lockstep_with_reference ~betas:(flat_betas beta 50) (fun () ->
+                  uncoupled_down [| 40.; 0.; 40. |])
+            in
+            Alcotest.(check int) (Printf.sprintf "no sweep settled at beta %g" beta) 0 settled;
+            Alcotest.(check bool) "every draw taken" true lockstep)
+          [ 10.; 1e6; infinity ];
+        (* every spin downhill (up along a positive field) at a negative
+           beta: each beta *. delta is large, but downhill is always
+           accepted *)
+        let settled, lockstep =
+          lockstep_with_reference ~betas:(flat_betas (-1.) 50) (fun () ->
+              let downhill = uncoupled_down [| 40.; 40. |] in
+              for i = 0 to 1 do
+                Fields.flip downhill i
+              done;
+              downhill)
+        in
+        Alcotest.(check int) "downhill: no sweep settled" 0 settled;
+        Alcotest.(check bool) "downhill: every draw taken" true lockstep);
+    Alcotest.test_case "a frozen state settles, unless a later beta is smaller" `Quick (fun () ->
+        let make () = uncoupled_down [| 40.; 20.; 40. |] in
+        let settled, lockstep = lockstep_with_reference ~betas:(flat_betas 1. 50) make in
+        (* sweep 0 accepts nothing, so sweeps 1..49 settle *)
+        Alcotest.(check int) "settled" 49 settled;
+        Alcotest.(check bool) "skipped draws" false lockstep;
+        (* frozen at 1 while beta stays there, but beta then falls to
+           0.01, where beta *. delta is 0.4: no exit, every draw taken *)
+        let falling = Array.init 50 (fun k -> if k < 25 then 1. else 0.01) in
+        let settled, lockstep = lockstep_with_reference ~betas:falling make in
+        Alcotest.(check int) "falling: no sweep settled" 0 settled;
+        Alcotest.(check bool) "falling: every draw taken" true lockstep;
+        (* a dip that never goes below the checked beta does not block:
+           after sweep 0 the next beta, 2, has the smaller 1.5 after it;
+           after sweep 1 nothing later is below 1.5 *)
+        let dip = Array.init 50 (fun k -> match k with 0 -> 1. | 1 -> 2. | 2 -> 1.5 | _ -> 3.) in
+        let settled, lockstep = lockstep_with_reference ~betas:dip make in
+        Alcotest.(check int) "dip: sweeps 2..49 settled" 48 settled;
+        Alcotest.(check bool) "dip: skipped draws" false lockstep;
+        (* the rule is "nothing later below the checked beta", not
+           "sorted from here": 2.5 after 3 does not block an exit at 2 *)
+        let unsorted = Array.init 50 (fun k -> match k with 0 -> 1. | 1 -> 2. | 3 -> 2.5 | _ -> 3.) in
+        let settled, _ = lockstep_with_reference ~betas:unsorted make in
+        Alcotest.(check int) "unsorted: sweeps 1..49 settled" 49 settled);
+    Alcotest.test_case "stop is polled through the replayed tail" `Quick (fun () ->
+        let make () = uncoupled_down [| 40.; 20.; 40. |] in
+        let polls = ref 0 and seen = ref [] in
+        let settled =
+          Fields.anneal (make ()) ~rng:(Prng.create 1) ~betas:(flat_betas 1. 50)
+            ~on_sweep:(fun ~sweep ~energy:_ ~accepted:_ -> seen := sweep :: !seen)
+            ~stop:(fun () ->
+              incr polls;
+              !polls > 10)
+            ()
+        in
+        Alcotest.(check int) "settled" 49 settled;
+        Alcotest.(check (list int)) "sweeps observed before the stop" (List.init 10 Fun.id)
+          (List.rev !seen));
+    Alcotest.test_case "an SA read allocates the same at any sweep count" `Quick (fun () ->
+        let ising = Ising.of_qubo (Lazy.force planted_king) in
+        let read schedule =
+          let rng = Prng.create 4 in
+          minor_words_during (fun () -> ignore (Sa.anneal_ising ~rng ~schedule ising))
+        in
+        List.iter
+          (fun (label, schedule) ->
+            let short = read (schedule 100) and long = read (schedule 4000) in
+            (* the spins, the field array and the closures: a few hundred
+               words, none of them per sweep *)
+            if long > short +. 16. || long > 400. then
+              Alcotest.failf "%s: 100 sweeps allocated %.0f words, 4000 sweeps %.0f" label short long)
+          [
+            ("auto schedule", fun sweeps -> Schedule.auto ~sweeps ising);
+            (* hot throughout: never freezes, so every sweep runs *)
+            ( "hot schedule",
+              fun sweeps -> Schedule.make ~beta_hot:0.05 ~beta_cold:0.1 ~sweeps () );
+          ]);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -496,6 +821,7 @@ let () =
     [
       ("kernel-vs-naive", kernel_props @ kernel_units);
       ("metropolis-sweep", sweep_units);
+      ("frozen-tail", exit_units);
       ("of-tracked", tracked_props @ tracked_units);
       ("tracked-energies", sampler_energy_tests);
       ("table1-regressions", regression_tests);
